@@ -9,65 +9,34 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/FaultInjection.h"
-#include <cerrno>
+#include "support/Hash.h"
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <dlfcn.h>
-#include <fstream>
-#include <iterator>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace cmcc;
 using namespace cmcc::njit;
 
 namespace {
 
-bool fileExists(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0 && S_ISREG(St.st_mode);
+/// Bare records under cc-<toolchain-hash>/; no toolchain, no store.
+DiskStore::Options storeOptions(const std::string &Dir,
+                                const Expected<Toolchain> &TC,
+                                const char *Ext) {
+  if (!TC)
+    return {};
+  return {.Dir = Dir, .Ext = Ext, .Subdir = "cc-" + fingerprintHex(TC->IdentityHash)};
 }
 
-/// mkdir -p: creates every missing component of \p Dir.
-Error makeDirs(const std::string &Dir) {
-  std::string Partial;
-  size_t Begin = 0;
-  while (Begin <= Dir.size()) {
-    size_t End = Dir.find('/', Begin);
-    if (End == std::string::npos)
-      End = Dir.size();
-    Partial.append(Dir, Begin, End - Begin);
-    if (!Partial.empty() && ::mkdir(Partial.c_str(), 0755) != 0 &&
-        errno != EEXIST)
-      return makeError("njit: cannot create '" + Partial +
-                       "': " + std::strerror(errno));
-    Partial += '/';
-    Begin = End + 1;
-  }
-  return Error::success();
-}
-
-/// Writes \p Text to \p Path via a process-unique temporary and an
-/// atomic rename, so a concurrent reader never sees a torn file.
-Error writeFileAtomic(const std::string &Path, const std::string &Text) {
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return makeError("njit: cannot write '" + Tmp +
-                     "': " + std::strerror(errno));
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size() && std::fclose(F) == 0;
-  if (!Ok) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: short write to '" + Tmp + "'");
-  }
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: cannot install '" + Path +
-                     "': " + std::strerror(errno));
-  }
-  return Error::success();
+/// Validates the bytes on disk before dlopen: once a pathname is in the
+/// process's link map, dlopen returns the cached mapping without ever
+/// reopening the file, so post-dlopen symbol checks cannot see on-disk
+/// damage. The ELF magic catches garbage and short writes; the embedded
+/// fingerprint string catches a stale or mis-keyed object.
+bool plausibleArtifact(const std::string &Bytes,
+                       const std::string &FingerprintHex) {
+  return Bytes.size() >= 64 && Bytes.compare(0, 4, "\x7f" "ELF") == 0 &&
+         Bytes.find(FingerprintHex) != std::string::npos;
 }
 
 /// Single-quotes \p S for a POSIX shell command line.
@@ -85,64 +54,28 @@ std::string shellQuote(const std::string &S) {
 
 } // namespace
 
-ArtifactCache::ArtifactCache(Options Opts) : Opts(std::move(Opts)) {}
+ArtifactCache::ArtifactCache(const Options &Opts)
+    : TC(detectToolchain()), Objects(storeOptions(Opts.DiskDir, TC, "so")),
+      Sources(storeOptions(Opts.DiskDir, TC, "cpp")) {}
 
 ArtifactCache::Counters ArtifactCache::counters() const {
   Counters C;
   C.MemHits = MemHits.load(std::memory_order_relaxed);
-  C.DiskHits = DiskHits.load(std::memory_order_relaxed);
-  C.DiskRejects = DiskRejects.load(std::memory_order_relaxed);
+  DiskStore::Counters D = Objects.counters();
+  C.DiskHits = D.Hits;
+  C.DiskRejects = D.Rejects;
   C.Misses = Misses.load(std::memory_order_relaxed);
   C.Compiles = Compiles.load(std::memory_order_relaxed);
   return C;
 }
 
-Error ArtifactCache::ensureToolchain() {
-  if (!ToolchainProbed) {
-    TC = detectToolchain();
-    ToolchainProbed = true;
-  }
-  if (!TC)
-    return makeError(TC.error().message());
-  return Error::success();
+std::string ArtifactCache::artifactPath(uint64_t Fingerprint) const {
+  return TC ? Objects.path(Fingerprint) : "";
 }
 
-Expected<std::string> ArtifactCache::compilerPath() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Error E = ensureToolchain())
-    return E;
-  return TC->Compiler;
-}
-
-std::string ArtifactCache::artifactPath(uint64_t Fingerprint) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Error E = ensureToolchain()) {
-    (void)E;
-    return "";
-  }
-  return Opts.DiskDir + "/cc-" + TC->identityHex() + "/" +
-         fingerprintHex(Fingerprint) + ".so";
-}
-
-Expected<Artifact> ArtifactCache::loadArtifact(
+Expected<Artifact> ArtifactCache::openArtifact(
     const std::string &Path, const std::string &FingerprintHex) {
   CMCC_SPAN("njit.dlopen");
-  // Validate the bytes on disk before dlopen: once a pathname is in the
-  // process's link map, dlopen returns the cached mapping without ever
-  // reopening the file, so post-dlopen symbol checks cannot see on-disk
-  // damage. The ELF magic catches garbage and short writes; the
-  // embedded fingerprint string catches a stale or mis-keyed object.
-  {
-    std::ifstream In(Path, std::ios::binary);
-    std::string Bytes((std::istreambuf_iterator<char>(In)),
-                      std::istreambuf_iterator<char>());
-    if (Bytes.size() < 64 || Bytes.compare(0, 4, "\x7f" "ELF") != 0)
-      return makeError("njit: rejecting '" + Path +
-                       "': not an ELF shared object");
-    if (Bytes.find(FingerprintHex) == std::string::npos)
-      return makeError("njit: rejecting '" + Path +
-                       "': no fingerprint stamp " + FingerprintHex);
-  }
   ::dlerror(); // Clear any stale error state.
   void *Handle = ::dlopen(Path.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
@@ -179,53 +112,46 @@ Expected<Artifact> ArtifactCache::loadArtifact(
 }
 
 Error ArtifactCache::compileArtifact(uint64_t Fingerprint,
-                                     const StencilSpec &Spec,
-                                     const std::string &Path) {
+                                     const StencilSpec &Spec) {
   const std::string FpHex = fingerprintHex(Fingerprint);
-  const std::string Stem = Path.substr(0, Path.size() - 3); // Drop ".so".
-  const std::string SrcPath = Stem + ".cpp";
-  const std::string LogPath = Stem + ".log";
+  const std::string SrcPath = Sources.path(Fingerprint);
+  const std::string LogPath =
+      SrcPath.substr(0, SrcPath.size() - 4) + ".log"; // Drop ".cpp".
 
   std::string Source;
   {
     CMCC_SPAN("njit.emit");
     Source = emitKernelSource(Spec, FpHex);
   }
-  if (Error E = makeDirs(Path.substr(0, Path.rfind('/'))))
-    return E;
   // The .cpp is kept beside the .so for inspection (TUTORIAL §12).
-  if (Error E = writeFileAtomic(SrcPath, Source))
-    return E;
+  if (!Sources.store(Fingerprint, {}, Source))
+    return makeError("njit: cannot write '" + SrcPath + "'");
 
   if (fault::probe("njit.cc"))
     return fault::injectedFault("njit.cc");
 
-  const std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  const std::string Cmd = shellQuote(TC->Compiler) + " " + CompileFlags +
-                          " -o " + shellQuote(Tmp) + " " +
-                          shellQuote(SrcPath) + " 2> " + shellQuote(LogPath);
   Compiles.fetch_add(1, std::memory_order_relaxed);
   obs::Registry::process().counter("njit.compiles").add(1);
-  int Rc;
-  {
+  int Rc = 0;
+  bool Installed = Objects.install(Fingerprint, [&](const std::string &Out) {
+    const std::string Cmd = shellQuote(TC->Compiler) + " " + CompileFlags +
+                            " -o " + shellQuote(Out) + " " +
+                            shellQuote(SrcPath) + " 2> " + shellQuote(LogPath);
     CMCC_SPAN("njit.cc");
     obs::ScopedLatencyUs Latency(
         obs::Registry::process().histogram("njit.compile_us"));
     Rc = std::system(Cmd.c_str());
-  }
-  if (Rc != 0) {
-    ::remove(Tmp.c_str());
+    return Rc == 0;
+  });
+  if (Rc != 0)
     // Transient: the toolchain may be momentarily broken (or a fault
     // drill); the service's ladder retries, then falls back to cm2.
     return Error::transient("njit: compile failed (status " +
                             std::to_string(Rc) + ") for plan " + FpHex +
                             "; see " + LogPath);
-  }
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: cannot install '" + Path +
-                     "': " + std::strerror(errno));
-  }
+  if (!Installed)
+    return makeError("njit: cannot install '" + Objects.path(Fingerprint) +
+                     "'");
   return Error::success();
 }
 
@@ -241,35 +167,39 @@ Expected<Artifact> ArtifactCache::lookup(uint64_t Fingerprint,
     return It->second;
   }
 
-  if (Error E = ensureToolchain())
-    return E;
+  if (!TC)
+    return makeError(TC.error().message());
 
   const std::string FpHex = fingerprintHex(Fingerprint);
-  const std::string Path =
-      Opts.DiskDir + "/cc-" + TC->identityHex() + "/" + FpHex + ".so";
-
-  if (fileExists(Path)) {
-    Expected<Artifact> A = loadArtifact(Path, FpHex);
-    if (A) {
-      DiskHits.fetch_add(1, std::memory_order_relaxed);
-      Obs.counter("njit.cache.disk_hits").add(1);
-      Table.emplace(Fingerprint, *A);
-      return *A;
-    }
-    // Corrupt / truncated / mis-stamped: count, evict, recompile fresh.
-    DiskRejects.fetch_add(1, std::memory_order_relaxed);
-    Obs.counter("njit.cache.disk_rejects").add(1);
-    ::remove(Path.c_str());
+  const std::string Path = Objects.path(Fingerprint);
+  // Corrupt / truncated / mis-stamped: the store counts and removes it,
+  // and the kernel is recompiled fresh below.
+  Artifact A;
+  DiskStore::Outcome Loaded =
+      Objects.load(Fingerprint, {}, [&](const std::string &Bytes) {
+        if (!plausibleArtifact(Bytes, FpHex))
+          return false;
+        Expected<Artifact> Opened = openArtifact(Path, FpHex);
+        if (Opened)
+          A = *Opened;
+        return static_cast<bool>(Opened);
+      });
+  if (Loaded == DiskStore::Outcome::Hit) {
+    Obs.counter("njit.cache.disk_hits").add(1);
+    Table.emplace(Fingerprint, A);
+    return A;
   }
+  if (Loaded == DiskStore::Outcome::Rejected)
+    Obs.counter("njit.cache.disk_rejects").add(1);
 
   Misses.fetch_add(1, std::memory_order_relaxed);
   Obs.counter("njit.cache.misses").add(1);
-  if (Error E = compileArtifact(Fingerprint, Spec, Path))
+  if (Error E = compileArtifact(Fingerprint, Spec))
     return E;
-  Expected<Artifact> A = loadArtifact(Path, FpHex);
-  if (!A)
+  Expected<Artifact> Fresh = openArtifact(Path, FpHex);
+  if (!Fresh)
     return makeError("njit: freshly built artifact unusable: " +
-                     A.error().message());
-  Table.emplace(Fingerprint, *A);
-  return *A;
+                     Fresh.error().message());
+  Table.emplace(Fingerprint, *Fresh);
+  return *Fresh;
 }

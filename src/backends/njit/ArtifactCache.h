@@ -5,36 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A two-tier cache of njit-compiled kernels, mirroring the serving
-/// layer's PlanCache shape: an in-memory handle table in front of an
-/// on-disk artifact directory, both keyed by plan fingerprint.
+/// A two-tier cache of njit-compiled kernels keyed by plan fingerprint:
+/// an in-memory handle table (fingerprint -> dlopen'd kernel pointer) in
+/// front of bare support/DiskStore records
+/// <dir>/cc-<toolchain-hash>/<fingerprint-hex>.so, the emitted .cpp kept
+/// beside each for inspection.
 ///
-///   memory   fingerprint -> dlopen handle + extracted kernel pointer
-///   disk     <dir>/cc-<toolchain-hash>/<fingerprint-hex>.so
-///            (the emitted .cpp is kept beside it for inspection)
-///
-/// The disk key folds in the *toolchain identity* (resolved compiler
-/// path + size + mtime + flags + emitter version — see Toolchain.h), so
-/// artifacts built by a different compiler, different flags, or an
-/// older emitter are simply invisible, never mis-loaded. A warm service
-/// restart therefore pays zero toolchain invocations: every lookup is a
-/// stat + dlopen.
-///
-/// Robustness: a truncated, corrupt, or tampered .so on disk fails
-/// dlopen or the post-load checks (missing kernel symbol, ABI-version
-/// mismatch, fingerprint-stamp mismatch) and is counted as DiskRejects,
-/// then recompiled fresh — never a crash, never a stale result
-/// (tests/njit_test corrupts artifacts on purpose).
+/// The subdirectory is the *toolchain identity* (resolved compiler path
+/// + size + mtime + flags + emitter version — see Toolchain.h), so
+/// objects built by another compiler, other flags, or an older emitter
+/// are invisible, never mis-loaded, and a warm restart invokes the
+/// toolchain zero times. A truncated, corrupt, or tampered .so fails
+/// this cache's own checks — ELF magic, embedded fingerprint, dlopen,
+/// ABI version, fingerprint stamp, kernel symbol — and is the store's
+/// counted reject: removed, then recompiled fresh; never a crash, never
+/// a stale result (tests/njit_test corrupts artifacts on purpose).
 ///
 /// Handles are never dlclose'd: a kernel pointer may be executing on a
 /// pool thread with no lifetime tie to the cache entry, and the table
-/// is bounded by the number of distinct plans (the PlanCache already
-/// bounds what the service keeps hot).
+/// is bounded by the number of distinct plans.
 ///
-/// Fault sites: `njit.cc` fires as a failed toolchain invocation
-/// (transient — the service's retry/fallback ladder handles it), and
-/// `plancache`-style disk probes are not duplicated here because a bad
-/// artifact already exercises the reject path.
+/// Fault site: `njit.cc` fires as a failed toolchain invocation
+/// (transient — the service's retry/fallback ladder handles it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +36,7 @@
 #include "backends/njit/Emitter.h"
 #include "backends/njit/Toolchain.h"
 #include "stencil/StencilSpec.h"
+#include "support/DiskStore.h"
 #include "support/Error.h"
 #include <atomic>
 #include <cstdint>
@@ -78,7 +71,7 @@ public:
     long Compiles = 0;    ///< Toolchain invocations (the warm path's zero).
   };
 
-  explicit ArtifactCache(Options Opts);
+  explicit ArtifactCache(const Options &Opts);
 
   /// Returns the kernel for \p Fingerprint / \p Spec, consulting memory,
   /// then disk, then emitting + compiling + dlopen'ing. Thread-safe; a
@@ -89,35 +82,26 @@ public:
 
   Counters counters() const;
 
-  const Options &options() const { return Opts; }
-
-  /// The detected toolchain's resolved compiler path, or the detection
-  /// failure. Detection is lazy and cached (stat-only, no exec).
-  Expected<std::string> compilerPath();
-
-  /// Where \p Fingerprint's shared object lives on disk (empty until
-  /// the toolchain has been detected). Exposed for tests and for the
-  /// TUTORIAL's inspect-the-artifact walkthrough.
-  std::string artifactPath(uint64_t Fingerprint);
+  /// Where \p Fingerprint's shared object lives on disk (empty when no
+  /// toolchain was detected). Exposed for tests and for the TUTORIAL's
+  /// inspect-the-artifact walkthrough.
+  std::string artifactPath(uint64_t Fingerprint) const;
 
 private:
-  /// Detects and memoizes the toolchain under Mutex.
-  Error ensureToolchain();
   /// dlopen + symbol/ABI/fingerprint checks. Counts nothing itself.
-  Expected<Artifact> loadArtifact(const std::string &Path,
+  Expected<Artifact> openArtifact(const std::string &Path,
                                   const std::string &FingerprintHex);
   /// Emit, shell out to the compiler, atomically install the .so.
-  Error compileArtifact(uint64_t Fingerprint, const StencilSpec &Spec,
-                        const std::string &Path);
+  Error compileArtifact(uint64_t Fingerprint, const StencilSpec &Spec);
 
-  Options Opts;
+  /// Detected once, at construction (stat-only, no exec).
+  const Expected<Toolchain> TC;
+  /// <fp>.so and the emitted <fp>.cpp, under cc-<toolchain-hash>/.
+  DiskStore Objects, Sources;
   std::mutex Mutex;
-  bool ToolchainProbed = false;
-  Expected<Toolchain> TC{makeError("njit: toolchain not probed yet")};
   std::unordered_map<uint64_t, Artifact> Table;
 
-  mutable std::atomic<long> MemHits{0}, DiskHits{0}, DiskRejects{0},
-      Misses{0}, Compiles{0};
+  mutable std::atomic<long> MemHits{0}, Misses{0}, Compiles{0};
 };
 
 } // namespace njit

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backends/njit/Toolchain.h"
-#include <cstdio>
+#include "support/Hash.h"
 #include <cstdlib>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -15,14 +15,6 @@ using namespace cmcc;
 using namespace cmcc::njit;
 
 namespace {
-
-uint64_t fnv1a(uint64_t H, const std::string &Text) {
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// Stat-based executable check (no exec).
 bool isExecutableFile(const std::string &Path, struct stat *St) {
@@ -65,24 +57,16 @@ Expected<Toolchain> makeToolchain(const std::string &Resolved,
   // Replacing the compiler binary (new mtime/size) or changing the
   // flags/emitter re-namespaces every artifact; nothing stale can be
   // dlopen'd by accident.
-  uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, Resolved);
-  H = fnv1a(H, std::to_string(static_cast<long long>(St.st_size)));
-  H = fnv1a(H, std::to_string(static_cast<long long>(St.st_mtime)));
-  H = fnv1a(H, CompileFlags);
-  H = fnv1a(H, std::to_string(EmitterVersion));
+  uint64_t H = fnv1a64(Resolved, FingerprintSeed);
+  H = fnv1a64(std::to_string(static_cast<long long>(St.st_size)), H);
+  H = fnv1a64(std::to_string(static_cast<long long>(St.st_mtime)), H);
+  H = fnv1a64(std::string_view(CompileFlags), H);
+  H = fnv1a64(std::to_string(EmitterVersion), H);
   TC.IdentityHash = H;
   return TC;
 }
 
 } // namespace
-
-std::string Toolchain::identityHex() const {
-  char Buffer[20];
-  std::snprintf(Buffer, sizeof(Buffer), "%016llx",
-                static_cast<unsigned long long>(IdentityHash));
-  return Buffer;
-}
 
 Expected<Toolchain> cmcc::njit::detectToolchain() {
   struct stat St;

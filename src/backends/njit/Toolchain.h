@@ -56,8 +56,6 @@ struct Toolchain {
   /// FNV-1a over (path, size, mtime, flags, emitter version): the
   /// artifact cache's per-toolchain namespace.
   uint64_t IdentityHash = 0;
-  /// The hash as fixed-width hex (the .cmccjit/ subdirectory name).
-  std::string identityHex() const;
 };
 
 /// Finds the host compiler per the discovery order above. The result is

@@ -86,18 +86,6 @@ uint64_t cmcc::planFingerprint(const StencilSpec &Spec,
 uint64_t cmcc::planFingerprint(const StencilSpec &Spec,
                                const MachineConfig &Config,
                                std::string_view Backend) {
-  const std::string Text = planFingerprintText(Spec, Config, Backend);
-  uint64_t H = 1469598103934665603ull; // FNV offset basis
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull; // FNV prime
-  }
-  return H;
-}
-
-std::string cmcc::fingerprintHex(uint64_t Fingerprint) {
-  char Buffer[20];
-  std::snprintf(Buffer, sizeof(Buffer), "%016llx",
-                static_cast<unsigned long long>(Fingerprint));
-  return Buffer;
+  return fnv1a64(planFingerprintText(Spec, Config, Backend),
+                 FingerprintSeed);
 }

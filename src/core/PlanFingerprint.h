@@ -31,6 +31,7 @@
 
 #include "cm2/MachineConfig.h"
 #include "stencil/StencilSpec.h"
+#include "support/Hash.h"
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -57,10 +58,6 @@ std::string planFingerprintText(const StencilSpec &Spec,
 uint64_t planFingerprint(const StencilSpec &Spec, const MachineConfig &Config,
                          std::string_view Backend);
 uint64_t planFingerprint(const StencilSpec &Spec, const MachineConfig &Config);
-
-/// The fingerprint as a fixed-width lower-case hex string (the on-disk
-/// cache's file stem).
-std::string fingerprintHex(uint64_t Fingerprint);
 
 } // namespace cmcc
 

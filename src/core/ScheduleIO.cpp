@@ -9,7 +9,9 @@
 #include "core/Verifier.h"
 #include "support/Assert.h"
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -273,6 +275,8 @@ cmcc::parseCompiledStencil(const std::string &Text,
       }
       if (I + 1 >= W.size() || W[I] != "sign")
         return R.fail("expected tap sign");
+      if (W[I + 1] != "+" && W[I + 1] != "-")
+        return R.fail("tap sign must be '+' or '-'");
       T.Sign = W[I + 1] == "-" ? -1.0 : 1.0;
       I += 2;
       if (I + 2 > W.size() || W[I] != "coeff")
@@ -284,7 +288,12 @@ cmcc::parseCompiledStencil(const std::string &Text,
       } else if (W[I + 1] == "scalar") {
         if (I + 3 > W.size())
           return R.fail("missing scalar coefficient value");
-        T.Coeff = Coefficient::scalar(std::strtod(W[I + 2].c_str(), nullptr));
+        // Overflow parses as an infinity, which isfinite rejects.
+        char *End = nullptr;
+        double Value = std::strtod(W[I + 2].c_str(), &End);
+        if (End == W[I + 2].c_str() || *End != '\0' || !std::isfinite(Value))
+          return R.fail("scalar coefficient must be a finite number");
+        T.Coeff = Coefficient::scalar(Value);
       } else {
         return R.fail("coefficient must be 'array' or 'scalar'");
       }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "net/Wire.h"
+#include "support/Hash.h"
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -43,16 +44,6 @@ bool net::isKnownMsgType(uint16_t Raw) {
     return true;
   }
   return false;
-}
-
-uint64_t net::fnv1a(const void *Data, size_t Len) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I != Len; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 namespace {
@@ -99,7 +90,7 @@ void net::encodeFrameHeader(const FrameHeader &H, uint8_t *Out) {
   putLe32(Out + 8, H.Tenant);
   putLe64(Out + 12, H.RequestId);
   putLe32(Out + 20, H.PayloadBytes);
-  putLe32(Out + 24, static_cast<uint32_t>(fnv1a(Out, 24)));
+  putLe32(Out + 24, static_cast<uint32_t>(fnv1a64(Out, 24)));
 }
 
 Expected<FrameHeader> net::decodeFrameHeader(const uint8_t *Data, size_t Len) {
@@ -110,7 +101,7 @@ Expected<FrameHeader> net::decodeFrameHeader(const uint8_t *Data, size_t Len) {
     return Error::failure("bad frame magic (not a cmcc protocol stream)");
   // Verify the checksum before trusting anything else in the header —
   // especially the length field.
-  const uint32_t Want = static_cast<uint32_t>(fnv1a(Data, 24));
+  const uint32_t Want = static_cast<uint32_t>(fnv1a64(Data, 24));
   if (getLe32(Data + 24) != Want)
     return Error::failure("frame header checksum mismatch");
   FrameHeader H;
@@ -145,7 +136,7 @@ void ByteWriter::floats(const float *Data, size_t Count) {
   Buf.resize(At + Bytes);
   if (Bytes)
     std::memcpy(Buf.data() + At, Data, Bytes);
-  u64(fnv1a(Buf.data() + At, Bytes));
+  u64(fnv1a64(Buf.data() + At, Bytes));
 }
 
 bool ByteReader::str(std::string &S, size_t MaxLen) {
@@ -172,7 +163,7 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
     Failed = true;
     return false;
   }
-  const uint64_t Want = fnv1a(Data + Pos, Bytes);
+  const uint64_t Want = fnv1a64(Data + Pos, Bytes);
   V.resize(N);
   if (Bytes)
     std::memcpy(V.data(), Data + Pos, Bytes);

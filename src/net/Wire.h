@@ -25,6 +25,8 @@
 ///       20     4  payload length in bytes (<= MaxPayloadBytes)
 ///       24     4  header checksum: FNV-1a over bytes [0, 24)
 ///
+/// The protocol's only hash is support/Hash.h's fnv1a64: header
+/// checksums truncate it to 32 bits, grid payloads keep all 64.
 /// The checksum is verified before the length field is trusted, so a
 /// corrupt header cannot command a giant read. Float arrays travel as
 /// raw IEEE-754 bit patterns guarded by an FNV-1a64 payload checksum —
@@ -104,10 +106,6 @@ enum class MsgType : uint16_t {
 
 /// True for type values this protocol version defines.
 bool isKnownMsgType(uint16_t Raw);
-
-/// FNV-1a over \p Len bytes (the protocol's only hash: header checksums
-/// truncate it to 32 bits, grid payloads keep all 64).
-uint64_t fnv1a(const void *Data, size_t Len);
 
 /// The decoded fixed header of one frame.
 struct FrameHeader {

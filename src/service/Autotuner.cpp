@@ -6,14 +6,10 @@
 
 #include "service/Autotuner.h"
 #include "backends/native/NativeBackend.h"
-#include "core/PlanFingerprint.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/TimeTile.h"
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 using namespace cmcc;
@@ -31,10 +27,34 @@ double runHostUsTotal() {
          R.histogram("backend.njit.run_host_us").sum();
 }
 
+DiskStore::Options storeOptions(const std::string &Dir) {
+  return {.Dir = Dir, .Ext = "tune", .Format = "cmcc-tune v2"};
+}
+
+/// The record payload: the four tuned values, one per line.
+std::string renderParams(const Autotuner::TunedParams &P) {
+  std::ostringstream S;
+  S << "time_tile " << P.TimeTile << "\nthreads " << P.ThreadCount
+    << "\nrows_per_tile " << P.RowsPerTile << "\nscore_us " << P.ScoreUs
+    << "\n";
+  return S.str();
+}
+
+/// Parses exactly what renderParams writes, with every value in range.
+bool parseParams(const std::string &Text, Autotuner::TunedParams *P) {
+  std::istringstream In(Text);
+  std::string Key;
+  return In >> Key >> P->TimeTile >> Key >> P->ThreadCount >> Key >>
+             P->RowsPerTile >> Key >> P->ScoreUs &&
+         renderParams(*P) == Text && P->TimeTile >= 1 &&
+         P->ThreadCount >= 0 && P->RowsPerTile >= 1;
+}
+
 } // namespace
 
 Autotuner::Autotuner(const MachineConfig &Config, Options Opts)
-    : Config(Config), Opts(std::move(Opts)) {
+    : Config(Config), Opts(std::move(Opts)),
+      Disk(storeOptions(this->Opts.Dir)) {
   if (this->Opts.Depths.empty())
     this->Opts.Depths = {1};
 }
@@ -46,104 +66,14 @@ void Autotuner::noteMetric(const char *Name) {
 
 std::string Autotuner::recordPath(const std::string &Dir,
                                   uint64_t Fingerprint) {
-  return Dir + "/" + fingerprintHex(Fingerprint) + ".tune";
+  return DiskStore(storeOptions(Dir)).path(Fingerprint);
 }
 
-std::string Autotuner::machineStamp() const {
-  std::ostringstream S;
-  S << Config.NodeRows << "x" << Config.NodeCols << "@" << Config.ClockMHz;
-  return S.str();
-}
-
-std::optional<Autotuner::TunedParams>
-Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
-  if (Opts.Dir.empty())
-    return std::nullopt;
-  std::ifstream In(recordPath(Opts.Dir, Fingerprint));
-  if (!In)
-    return std::nullopt; // Nothing on disk: a plain (uncounted) miss.
-
-  // Strict line-oriented parse: any missing line, bad key, or value
-  // mismatch is a counted DiskReject — a damaged or stale record must
-  // fall back to a fresh sweep, never half-apply.
-  auto Reject = [&]() -> std::optional<TunedParams> {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Counts.DiskRejects;
-    }
-    noteMetric("service.tune_disk_rejects");
-    return std::nullopt;
-  };
-  std::string Line;
-  if (!std::getline(In, Line) || Line != "cmcc-tune v1")
-    return Reject();
-
-  TunedParams P;
-  bool SawFp = false, SawMachine = false, SawBackend = false, SawTile = false;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    std::istringstream LS(Line);
-    std::string Key;
-    LS >> Key;
-    if (Key == "fingerprint") {
-      std::string Hex;
-      LS >> Hex;
-      if (Hex != fingerprintHex(Fingerprint))
-        return Reject();
-      SawFp = true;
-    } else if (Key == "machine") {
-      std::string Stamp;
-      LS >> Stamp;
-      if (Stamp != machineStamp())
-        return Reject();
-      SawMachine = true;
-    } else if (Key == "backend") {
-      std::string Name;
-      LS >> Name;
-      if (Name != BackendName)
-        return Reject();
-      SawBackend = true;
-    } else if (Key == "time_tile") {
-      if (!(LS >> P.TimeTile) || P.TimeTile < 1)
-        return Reject();
-      SawTile = true;
-    } else if (Key == "threads") {
-      if (!(LS >> P.ThreadCount) || P.ThreadCount < 0)
-        return Reject();
-    } else if (Key == "rows_per_tile") {
-      if (!(LS >> P.RowsPerTile) || P.RowsPerTile < 1)
-        return Reject();
-    } else if (Key == "score_us") {
-      if (!(LS >> P.ScoreUs))
-        return Reject();
-    } else {
-      return Reject(); // Unknown key: a future version we cannot trust.
-    }
-  }
-  if (!SawFp || !SawMachine || !SawBackend || !SawTile)
-    return Reject(); // Truncated.
-  return P;
-}
-
-void Autotuner::storeRecord(uint64_t Fingerprint,
-                            const std::string &BackendName,
-                            const TunedParams &P) {
-  if (Opts.Dir.empty())
-    return;
-  std::error_code EC;
-  std::filesystem::create_directories(Opts.Dir, EC);
-  std::ofstream Out(recordPath(Opts.Dir, Fingerprint), std::ios::trunc);
-  if (!Out)
-    return; // Persistence is best-effort; memory still has the winner.
-  Out << "cmcc-tune v1\n"
-      << "fingerprint " << fingerprintHex(Fingerprint) << "\n"
-      << "machine " << machineStamp() << "\n"
-      << "backend " << BackendName << "\n"
-      << "time_tile " << P.TimeTile << "\n"
-      << "threads " << P.ThreadCount << "\n"
-      << "rows_per_tile " << P.RowsPerTile << "\n"
-      << "score_us " << P.ScoreUs << "\n";
+DiskStore::Stamp Autotuner::stampFor(const ExecutionBackend &Backend) const {
+  std::ostringstream Machine;
+  Machine << Config.NodeRows << "x" << Config.NodeCols << "@"
+          << Config.ClockMHz;
+  return {{"machine", Machine.str()}, {"backend", Backend.name()}};
 }
 
 std::optional<Autotuner::TunedParams>
@@ -157,16 +87,22 @@ Autotuner::lookup(uint64_t Fingerprint, const ExecutionBackend &Backend) {
       return It->second;
     }
   }
-  if (std::optional<TunedParams> P = loadRecord(Fingerprint, Backend.name())) {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++Counts.DiskHits;
-      Memory.emplace(Fingerprint, *P);
-    }
-    noteMetric("service.tune_disk_hits");
-    return P;
+  // A damaged or foreign record never half-applies: it is a counted
+  // reject, and the caller's resolve falls back to a fresh sweep.
+  TunedParams P;
+  DiskStore::Outcome Loaded =
+      Disk.load(Fingerprint, stampFor(Backend),
+                [&](const std::string &Text) { return parseParams(Text, &P); });
+  if (Loaded == DiskStore::Outcome::Rejected)
+    noteMetric("service.tune_disk_rejects");
+  if (Loaded != DiskStore::Outcome::Hit)
+    return std::nullopt;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Memory.emplace(Fingerprint, P);
   }
-  return std::nullopt;
+  noteMetric("service.tune_disk_hits");
+  return P;
 }
 
 Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
@@ -252,7 +188,7 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
     }
   }
 
-  storeRecord(Fingerprint, Backend.name(), Best);
+  Disk.store(Fingerprint, stampFor(Backend), renderParams(Best));
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Memory[Fingerprint] = Best;
@@ -270,6 +206,13 @@ Autotuner::TunedParams Autotuner::resolve(uint64_t Fingerprint,
 }
 
 Autotuner::Counters Autotuner::counters() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Counts;
+  Counters C;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    C = Counts;
+  }
+  DiskStore::Counters D = Disk.counters();
+  C.DiskHits = D.Hits;
+  C.DiskRejects = D.Rejects;
+  return C;
 }

@@ -16,15 +16,11 @@
 /// from the obs layer's phase histograms (backend.*.run_host_us /
 /// executor.run_host_us deltas for wall-clock backends, the simulated
 /// seconds for cm2) — depth k fuses k steps behind one exchange, so a
-/// fair comparison divides by k. The winner persists as a versioned
-/// text record beside the cached plan:
+/// fair comparison divides by k. The winner persists beside the cached
+/// plan as a support/DiskStore record <dir>/<fingerprint-hex>.tune
+/// (format "cmcc-tune v2", stamped with the machine <rows>x<cols>@<mhz>
+/// and the backend name) whose payload is the four tuned values:
 ///
-///     <dir>/<fingerprint-hex>.tune
-///
-///     cmcc-tune v1
-///     fingerprint <hex16>
-///     machine <rows>x<cols>@<mhz>
-///     backend <name>
 ///     time_tile <k>
 ///     threads <n>
 ///     rows_per_tile <n>
@@ -32,10 +28,10 @@
 ///
 /// Warm keys are served from memory, then disk — never re-swept
 /// (counted, so tests can assert the sweep ran exactly once). A record
-/// that is truncated, corrupt, stale-versioned, or stamped for a
-/// different machine/backend is a counted DiskReject and falls back to
-/// a fresh sweep — mirroring the plan cache's discipline that disk
-/// state can be lost or damaged but never change behavior silently.
+/// the store rejects — truncated, damaged, stale-versioned, or another
+/// fingerprint's, machine's or backend's — is a counted DiskReject that
+/// falls back to a fresh sweep: disk state can be lost or damaged but
+/// never change behavior silently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +40,7 @@
 
 #include "cm2/MachineConfig.h"
 #include "runtime/Backend.h"
+#include "support/DiskStore.h"
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -123,18 +120,15 @@ public:
   static std::string recordPath(const std::string &Dir, uint64_t Fingerprint);
 
 private:
-  /// "4x4@7" — the machine identity a record is valid for.
-  std::string machineStamp() const;
+  /// The machine ("4x4@7") and backend a record is valid for.
+  DiskStore::Stamp stampFor(const ExecutionBackend &Backend) const;
   /// Bumps the mirrored obs counter \p Name when Options::Metrics is
   /// set; a no-op otherwise.
   void noteMetric(const char *Name);
-  std::optional<TunedParams> loadRecord(uint64_t Fingerprint,
-                                        const std::string &BackendName);
-  void storeRecord(uint64_t Fingerprint, const std::string &BackendName,
-                   const TunedParams &P);
 
   MachineConfig Config;
   Options Opts;
+  DiskStore Disk;
 
   mutable std::mutex Mutex;
   std::unordered_map<uint64_t, TunedParams> Memory;

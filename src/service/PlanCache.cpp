@@ -5,18 +5,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/PlanCache.h"
-#include "core/PlanFingerprint.h"
 #include "core/ScheduleIO.h"
-#include "support/FaultInjection.h"
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace cmcc;
 
 PlanCache::PlanCache(const MachineConfig &Config, Options Opts)
-    : Config(Config), Opts(Opts) {
+    : Config(Config), Opts(Opts),
+      Disk({.Dir = Opts.DiskDir,
+            .Ext = "cmccode",
+            .Format = "cmcc-cached-plan v1",
+            .ReadFaultSite = "plancache.disk_read",
+            .WriteFaultSite = "plancache.disk_write"}) {
   int ShardCount = std::max(1, this->Opts.Shards);
   if (this->Opts.Capacity < static_cast<size_t>(ShardCount))
     this->Opts.Capacity = static_cast<size_t>(ShardCount);
@@ -27,83 +26,29 @@ PlanCache::PlanCache(const MachineConfig &Config, Options Opts)
     Shards.push_back(std::make_unique<Shard>());
 }
 
-std::string PlanCache::diskPathFor(uint64_t Fingerprint) const {
-  return Opts.DiskDir + "/" + fingerprintHex(Fingerprint) + ".cmccode";
-}
-
-std::shared_ptr<const CompiledStencil>
-PlanCache::loadFromDisk(uint64_t Fingerprint) {
-  std::ifstream In(diskPathFor(Fingerprint));
-  if (!In)
-    return nullptr; // Not on disk: an ordinary miss, not a reject.
-  // Injected read fault: the file opened but behaves as corrupt — the
-  // same counted-reject outcome a real bit flip produces.
-  if (fault::probe("plancache.disk_read")) {
-    DiskRejects.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  // The parser revalidates everything — format, counts, and the full
-  // schedule verifier against this machine's pipeline model. Whatever is
-  // wrong with the file (truncation, bit flips, wrong machine), the
-  // outcome is a counted reject, never UB.
-  Expected<CompiledStencil> Loaded =
-      parseCompiledStencil(Buffer.str(), Config);
-  if (!Loaded) {
-    DiskRejects.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  DiskHits.fetch_add(1, std::memory_order_relaxed);
-  return std::make_shared<const CompiledStencil>(Loaded.takeValue());
-}
-
-void PlanCache::storeToDisk(uint64_t Fingerprint,
-                            const CompiledStencil &Plan) const {
-  // Injected write fault: the store is silently lost, like a full disk.
-  // The tier is best-effort by design, so this must be invisible to
-  // correctness — only future disk hits are forgone.
-  if (fault::probe("plancache.disk_write"))
-    return;
-  std::error_code EC;
-  std::filesystem::create_directories(Opts.DiskDir, EC);
-  if (EC)
-    return; // Disk tier is best-effort; memory tier still works.
-  std::string Path = diskPathFor(Fingerprint);
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp);
-    if (!Out)
-      return;
-    Out << writeCompiledStencil(Plan, Config);
-    if (!Out)
-      return;
-  }
-  // Rename so a concurrent reader never sees a half-written file.
-  std::filesystem::rename(Tmp, Path, EC);
-}
-
 std::shared_ptr<const CompiledStencil>
 PlanCache::lookup(uint64_t Fingerprint) {
-  Shard &S = shardFor(Fingerprint);
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = S.Index.find(Fingerprint);
-    if (It != S.Index.end()) {
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      return It->second->second;
-    }
+  if (std::shared_ptr<const CompiledStencil> Plan = peek(Fingerprint)) {
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    return Plan;
   }
-  if (!Opts.DiskDir.empty()) {
-    // Load outside the shard lock: parsing + re-verifying is the slow
-    // path and must not serialize other fingerprints of this stripe.
-    if (std::shared_ptr<const CompiledStencil> Plan =
-            loadFromDisk(Fingerprint)) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      insert(Fingerprint, Plan);
-      return Plan;
-    }
+  // Load outside the shard lock: parsing + re-verifying is the slow
+  // path and must not serialize other fingerprints of this stripe. The
+  // parser revalidates everything the envelope cannot — format, counts,
+  // and the full schedule verifier against this machine's pipeline
+  // model.
+  std::shared_ptr<const CompiledStencil> Plan;
+  auto Accept = [&](const std::string &Text) {
+    Expected<CompiledStencil> Loaded = parseCompiledStencil(Text, Config);
+    if (!Loaded)
+      return false;
+    Plan = std::make_shared<const CompiledStencil>(Loaded.takeValue());
+    return true;
+  };
+  if (Disk.load(Fingerprint, {}, Accept) == DiskStore::Outcome::Hit) {
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    insertMemory(Fingerprint, Plan); // The record is already on disk.
+    return Plan;
   }
   Misses.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
@@ -119,31 +64,34 @@ std::shared_ptr<const CompiledStencil> PlanCache::peek(uint64_t Fingerprint) {
   return It->second->second;
 }
 
+bool PlanCache::insertMemory(uint64_t Fingerprint,
+                             std::shared_ptr<const CompiledStencil> Plan) {
+  Shard &S = shardFor(Fingerprint);
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  auto It = S.Index.find(Fingerprint);
+  if (It != S.Index.end()) {
+    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    return false;
+  }
+  S.Lru.emplace_front(Fingerprint, std::move(Plan));
+  S.Index[Fingerprint] = S.Lru.begin();
+  Insertions.fetch_add(1, std::memory_order_relaxed);
+  while (S.Lru.size() > PerShardCapacity) {
+    S.Index.erase(S.Lru.back().first);
+    S.Lru.pop_back();
+    Evictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
+}
+
 void PlanCache::insert(uint64_t Fingerprint,
                        std::shared_ptr<const CompiledStencil> Plan) {
   if (!Plan)
     return;
-  bool WriteDisk = false;
-  Shard &S = shardFor(Fingerprint);
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = S.Index.find(Fingerprint);
-    if (It != S.Index.end()) {
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    } else {
-      S.Lru.emplace_front(Fingerprint, Plan);
-      S.Index[Fingerprint] = S.Lru.begin();
-      Insertions.fetch_add(1, std::memory_order_relaxed);
-      WriteDisk = !Opts.DiskDir.empty();
-      while (S.Lru.size() > PerShardCapacity) {
-        S.Index.erase(S.Lru.back().first);
-        S.Lru.pop_back();
-        Evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  if (WriteDisk)
-    storeToDisk(Fingerprint, *Plan);
+  // Write through outside the shard lock. Best-effort: a lost write only
+  // forgoes future disk hits.
+  if (insertMemory(Fingerprint, Plan) && Disk.enabled())
+    Disk.store(Fingerprint, {}, writeCompiledStencil(*Plan, Config));
 }
 
 void PlanCache::clearMemory() {
@@ -160,8 +108,10 @@ PlanCache::Counters PlanCache::counters() const {
   C.Misses = Misses.load(std::memory_order_relaxed);
   C.Evictions = Evictions.load(std::memory_order_relaxed);
   C.Insertions = Insertions.load(std::memory_order_relaxed);
-  C.DiskHits = DiskHits.load(std::memory_order_relaxed);
-  C.DiskRejects = DiskRejects.load(std::memory_order_relaxed);
+  DiskStore::Counters D = Disk.counters();
+  C.DiskHits = D.Hits;
+  C.DiskRejects = D.Rejects;
+  C.DiskWrites = D.Writes;
   return C;
 }
 

@@ -16,13 +16,14 @@
 /// (the executor only reads it), so a cached plan can be executing on
 /// one thread while another evicts it.
 ///
-/// The disk tier stores each entry as <dir>/<fingerprint-hex>.cmccode
-/// via core/ScheduleIO. Loads re-run the full parse + schedule verifier;
-/// a file that is truncated, tampered with, or written for a different
-/// machine is counted as a miss (DiskRejects) and never crashes or
-/// yields an unverified plan. The cache therefore cannot change
-/// numerical results or simulated cycles: it only ever returns plans
-/// that passed the same verifier a fresh compile would.
+/// The disk tier keeps <dir>/<fingerprint-hex>.cmccode support/DiskStore
+/// records: core/ScheduleIO text in the store's checksummed envelope.
+/// A fresh insert writes its record once; a disk hit is promoted into
+/// memory without writing. A truncated, damaged (one changed coefficient
+/// digit included), mis-keyed or unverifiable record is a counted miss
+/// (DiskRejects). So the cache cannot change numerical results or
+/// simulated cycles: the checksum ties a loaded plan to the bytes written
+/// for its fingerprint, and the verifier re-proves its schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 
 #include "cm2/MachineConfig.h"
 #include "core/Compiler.h"
+#include "support/DiskStore.h"
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -62,9 +64,10 @@ public:
     long Hits = 0;       ///< In-memory fingerprint hits.
     long Misses = 0;     ///< Neither tier had a verified plan.
     long Evictions = 0;  ///< LRU entries dropped to make room.
-    long Insertions = 0; ///< Plans added (fresh compiles).
+    long Insertions = 0; ///< Plans added to memory (compiles, disk hits).
     long DiskHits = 0;   ///< Loaded from disk and re-verified OK.
     long DiskRejects = 0; ///< Disk entry present but corrupt/mismatched.
+    long DiskWrites = 0;  ///< Records written to the disk tier.
 
     long lookups() const { return Hits + Misses; }
     /// Fraction of lookups served without compiling (memory or disk).
@@ -79,7 +82,8 @@ public:
   PlanCache(const MachineConfig &Config, Options Opts);
 
   /// Returns the cached plan for \p Fingerprint, consulting memory then
-  /// disk, or nullptr (a miss). A disk hit is promoted into memory.
+  /// disk, or nullptr (a miss). A disk hit is promoted into memory
+  /// without writing its record back.
   std::shared_ptr<const CompiledStencil> lookup(uint64_t Fingerprint);
 
   /// In-memory-only recheck that touches no hit/miss counters (and not
@@ -103,8 +107,6 @@ public:
   /// Current in-memory entry count (sums shard sizes; a snapshot).
   size_t size() const;
 
-  const Options &options() const { return Opts; }
-
 private:
   struct Shard {
     std::mutex Mutex;
@@ -117,17 +119,17 @@ private:
   Shard &shardFor(uint64_t Fingerprint) {
     return *Shards[Fingerprint % Shards.size()];
   }
-  std::string diskPathFor(uint64_t Fingerprint) const;
-  std::shared_ptr<const CompiledStencil> loadFromDisk(uint64_t Fingerprint);
-  void storeToDisk(uint64_t Fingerprint, const CompiledStencil &Plan) const;
+  /// Adds \p Plan to memory; true when it was not there already.
+  bool insertMemory(uint64_t Fingerprint,
+                    std::shared_ptr<const CompiledStencil> Plan);
 
   MachineConfig Config;
   Options Opts;
   size_t PerShardCapacity;
   std::vector<std::unique_ptr<Shard>> Shards;
+  DiskStore Disk;
 
-  mutable std::atomic<long> Hits{0}, Misses{0}, Evictions{0}, Insertions{0},
-      DiskHits{0}, DiskRejects{0};
+  mutable std::atomic<long> Hits{0}, Misses{0}, Evictions{0}, Insertions{0};
 };
 
 } // namespace cmcc

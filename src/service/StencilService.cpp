@@ -68,8 +68,9 @@ StencilService::StencilService(const MachineConfig &Config, Options Opts)
           Config,
           [this, &Opts] {
             Autotuner::Options AO;
-            // Records live beside the cached plans unless redirected.
-            AO.Dir = Opts.TuneDir.empty() ? Opts.Cache.DiskDir : Opts.TuneDir;
+            // Records live beside the cached plans they tune, so a
+            // disk-less cache means memory-only tuning.
+            AO.Dir = Opts.Cache.DiskDir;
             AO.Depths = Opts.TuneDepths;
             // Metrics is a later member, so only its address is taken
             // here; the tuner touches it lazily, never at construction.

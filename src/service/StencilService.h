@@ -313,10 +313,6 @@ public:
     /// the autotuner per (fingerprint, machine) — cold fingerprints
     /// sweep once, warm ones reuse the persisted winner.
     int TimeTile = 1;
-    /// Directory for persisted autotuner records; empty uses the plan
-    /// cache's disk directory (records live beside the plans they
-    /// tune), so a disk-less cache means memory-only tuning.
-    std::string TuneDir;
     /// Candidate depths the autotuner sweeps (clamped per plan).
     std::vector<int> TuneDepths = {1, 2, 4, 8};
   };

@@ -296,3 +296,43 @@ TEST(ScheduleIORobustnessTest, TrailingGarbageRejected) {
   // Trailing blank lines and comments are still fine.
   EXPECT_TRUE(parseCompiledStencil(Text + "\n# trailer\n", machine()));
 }
+
+TEST(ScheduleIORobustnessTest, TapSignAndScalarCoefficientAreStrict) {
+  StencilSpec Spec = makePattern(PatternId::Cross5);
+  Spec.Taps[0].Coeff = Coefficient::scalar(0.5);
+  ConvolutionCompiler CC(machine());
+  Expected<CompiledStencil> Compiled = CC.compile(Spec);
+  ASSERT_TRUE(Compiled) << Compiled.error().message();
+  const std::string Text = writeCompiledStencil(*Compiled, machine());
+  ASSERT_TRUE(parseCompiledStencil(Text, machine()));
+  auto Replaced = [&](const std::string &From, const std::string &To) {
+    std::string Out = Text;
+    size_t Pos = Out.find(From);
+    EXPECT_NE(Pos, std::string::npos) << From;
+    if (Pos != std::string::npos)
+      Out.replace(Pos, From.size(), To);
+    return Out;
+  };
+  // A scalar that is not a whole finite number never loads as some
+  // other value (strtod alone read "banana" as 0.0).
+  for (const char *Bad : {"coeff scalar banana", "coeff scalar 0.5x",
+                          "coeff scalar nan", "coeff scalar inf",
+                          "coeff scalar -inf", "coeff scalar 1e999"}) {
+    Expected<CompiledStencil> Loaded =
+        parseCompiledStencil(Replaced("coeff scalar 0.5", Bad), machine());
+    EXPECT_FALSE(Loaded) << Bad;
+  }
+  // The sign is '+' or '-', nothing else read as '+'.
+  for (const char *Bad : {"sign plus", "sign *", "sign +-", "sign 1"}) {
+    Expected<CompiledStencil> Loaded =
+        parseCompiledStencil(Replaced("sign +", Bad), machine());
+    EXPECT_FALSE(Loaded) << Bad;
+  }
+  // Both legal spellings still load, with the value they say.
+  Expected<CompiledStencil> Negated = parseCompiledStencil(
+      Replaced("sign + coeff scalar 0.5", "sign - coeff scalar 0.75"),
+      machine());
+  ASSERT_TRUE(Negated) << Negated.error().message();
+  EXPECT_DOUBLE_EQ(Negated->Spec.Taps[0].Sign, -1.0);
+  EXPECT_DOUBLE_EQ(Negated->Spec.Taps[0].Coeff.Value, 0.75);
+}

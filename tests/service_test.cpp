@@ -28,8 +28,11 @@
 #include "service/StencilService.h"
 #include "stencil/PatternLibrary.h"
 #include "stencil/Recognizer.h"
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sys/stat.h>
 #include <gtest/gtest.h>
 #include <memory>
 #include <thread>
@@ -144,6 +147,15 @@ TEST(PlanFingerprintTest, HexIsStable) {
   EXPECT_EQ(fingerprintHex(0), "0000000000000000");
 }
 
+TEST(PlanFingerprintTest, ValueIsPinned) {
+  // Fingerprints name every on-disk plan, tune record and njit
+  // artifact: this is the cross stencil's value since the first
+  // on-disk caches (the fp TUTORIAL §11 prints for demo.jobs line 5).
+  EXPECT_EQ(fingerprintHex(planFingerprint(makePattern(PatternId::Cross5),
+                                           MachineConfig::testMachine16())),
+            "b31a54ad02edb8b0");
+}
+
 //===----------------------------------------------------------------------===//
 // PlanCache
 //===----------------------------------------------------------------------===//
@@ -248,13 +260,115 @@ TEST(PlanCacheTest, CorruptDiskEntriesAreMissesNeverCrashes) {
     CorruptWith(Flipped);
   }
 
-  // And a valid file for a *different* stencil under this fingerprint's
-  // name still parses — the cache trusts the verifier, not the name —
-  // but a rewrite with the real plan recovers the entry.
+  // A rewrite with the real plan recovers the entry.
   PlanCache Cache(M, Opts);
   Cache.insert(Fp, compileShared(M, PatternId::Cross5));
   Cache.clearMemory();
   EXPECT_NE(Cache.lookup(Fp), nullptr);
+}
+
+namespace {
+
+std::string readAll(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Replaces \p Path's bytes under a fresh inode, as a later writer would.
+void rewrite(const std::string &Path, const std::string &Content) {
+  std::filesystem::remove(Path);
+  std::ofstream(Path, std::ios::binary) << Content;
+}
+
+} // namespace
+
+TEST(PlanCacheTest, ChangedScalarCoefficientIsACountedReject) {
+  // A one-character edit of a scalar coefficient leaves a plan that
+  // parses and verifies — but it is not the plan this fingerprint
+  // names, and must never run as it.
+  MachineConfig M = machine();
+  ScratchDir Dir("scalarflip");
+  StencilSpec Spec = makePattern(PatternId::Cross5);
+  Spec.Taps[0].Coeff = Coefficient::scalar(0.5);
+  uint64_t Fp = planFingerprint(Spec, M);
+  ConvolutionCompiler CC(M);
+  Expected<CompiledStencil> Compiled = CC.compile(Spec);
+  ASSERT_TRUE(Compiled);
+
+  PlanCache::Options Opts;
+  Opts.DiskDir = Dir.Path;
+  {
+    PlanCache Seed(M, Opts);
+    Seed.insert(Fp, std::make_shared<const CompiledStencil>(
+                        Compiled.takeValue()));
+  }
+  const std::string Path = Dir.Path + "/" + fingerprintHex(Fp) + ".cmccode";
+  std::string Text = readAll(Path);
+  size_t Pos = Text.find("coeff scalar 0.5");
+  ASSERT_NE(Pos, std::string::npos);
+  Text[Pos + std::strlen("coeff scalar 0.")] = '7';
+  rewrite(Path, Text);
+
+  PlanCache Cache(M, Opts);
+  EXPECT_EQ(Cache.lookup(Fp), nullptr);
+  PlanCache::Counters N = Cache.counters();
+  EXPECT_EQ(N.DiskRejects, 1);
+  EXPECT_EQ(N.DiskHits, 0);
+  EXPECT_EQ(N.Misses, 1);
+}
+
+TEST(PlanCacheTest, RecordCopiedUnderAnotherFingerprintIsACountedReject) {
+  MachineConfig M = machine();
+  ScratchDir Dir("mis-keyed");
+  uint64_t FpCross = planFingerprint(makePattern(PatternId::Cross5), M);
+  uint64_t FpSquare = planFingerprint(makePattern(PatternId::Square9), M);
+  PlanCache::Options Opts;
+  Opts.DiskDir = Dir.Path;
+  {
+    PlanCache Seed(M, Opts);
+    Seed.insert(FpCross, compileShared(M, PatternId::Cross5));
+  }
+  std::filesystem::copy_file(
+      Dir.Path + "/" + fingerprintHex(FpCross) + ".cmccode",
+      Dir.Path + "/" + fingerprintHex(FpSquare) + ".cmccode");
+
+  PlanCache Cache(M, Opts);
+  EXPECT_EQ(Cache.lookup(FpSquare), nullptr);
+  EXPECT_EQ(Cache.counters().DiskRejects, 1);
+  // The genuine record under its own name still loads.
+  EXPECT_NE(Cache.lookup(FpCross), nullptr);
+  EXPECT_EQ(Cache.counters().DiskHits, 1);
+}
+
+TEST(PlanCacheTest, DiskHitPromotesWithoutWriting) {
+  MachineConfig M = machine();
+  ScratchDir Dir("nowrite");
+  uint64_t Fp = planFingerprint(makePattern(PatternId::Diamond13), M);
+  PlanCache::Options Opts;
+  Opts.DiskDir = Dir.Path;
+  {
+    PlanCache Seed(M, Opts);
+    Seed.insert(Fp, compileShared(M, PatternId::Diamond13));
+    EXPECT_EQ(Seed.counters().DiskWrites, 1);
+  }
+  const std::string Path = Dir.Path + "/" + fingerprintHex(Fp) + ".cmccode";
+  struct stat Before;
+  ASSERT_EQ(::stat(Path.c_str(), &Before), 0);
+
+  PlanCache Cache(M, Opts);
+  ASSERT_NE(Cache.lookup(Fp), nullptr);
+  ASSERT_NE(Cache.lookup(Fp), nullptr); // Now a memory hit.
+  PlanCache::Counters N = Cache.counters();
+  EXPECT_EQ(N.DiskHits, 1);
+  EXPECT_EQ(N.Hits, 2);
+  EXPECT_EQ(N.DiskWrites, 0);
+
+  struct stat After;
+  ASSERT_EQ(::stat(Path.c_str(), &After), 0);
+  EXPECT_EQ(After.st_ino, Before.st_ino);
+  EXPECT_EQ(After.st_mtim.tv_sec, Before.st_mtim.tv_sec);
+  EXPECT_EQ(After.st_mtim.tv_nsec, Before.st_mtim.tv_nsec);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 
 #include "support/Diagnostic.h"
 #include "support/Error.h"
+#include "support/Hash.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
@@ -106,4 +107,22 @@ TEST(TextTableTest, AlignsColumns) {
   EXPECT_NE(Out.find("name"), std::string::npos);
   EXPECT_NE(Out.find("  72.8"), std::string::npos) << Out;
   EXPECT_NE(Out.find("diamond13"), std::string::npos);
+}
+
+TEST(HashTest, Fnv1a64StandardVectors) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+  const unsigned char Bytes[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(fnv1a64(Bytes, sizeof(Bytes)), 0x85944171f73967e8ull);
+  EXPECT_EQ(fingerprintHex(fnv1a64("a")), "af63dc4c8601ec8c");
+}
+
+TEST(HashTest, SeedChainsPiecesAndKeepsTheFingerprintSeed) {
+  using namespace std::literals;
+  EXPECT_EQ(fnv1a64("bar"sv, fnv1a64("foo")), fnv1a64("foobar"));
+  // Plan fingerprints, fault sites and toolchain identities hash from
+  // this seed; its value is part of every on-disk key.
+  EXPECT_EQ(FingerprintSeed, 1469598103934665603ull);
+  EXPECT_EQ(fnv1a64("a"sv, FingerprintSeed), 0x44bd8ad473cd9906ull);
 }

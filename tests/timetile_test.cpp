@@ -608,7 +608,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
     Seeder.tune(Fp, *B, Compiled, 16, 16);
   }
   const std::string Good = readFile(Path);
-  ASSERT_NE(Good.find("cmcc-tune v1"), std::string::npos);
+  ASSERT_NE(Good.find("cmcc-tune v2"), std::string::npos);
   ASSERT_NE(Good.find("time_tile"), std::string::npos);
 
   struct Damage {
@@ -666,7 +666,7 @@ TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
   StencilService::Options Opts;
   Opts.Workers = 1;
   Opts.TimeTile = 0;
-  Opts.TuneDir = Dir.Path;
+  Opts.Cache.DiskDir = Dir.Path;
   StencilService Service(Config, Opts);
 
   StencilService::JobRequest Req;

@@ -50,6 +50,7 @@
 #include "net/Client.h"
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
+#include "support/Hash.h"
 #include "support/Provenance.h"
 #include "support/StringUtils.h"
 #include <cctype>
@@ -273,7 +274,7 @@ int printWaitResult(const net::WaitResponse &R) {
     std::printf("result %s %ux%u checksum %016llx\n", R.Result.Name.c_str(),
                 R.Result.Rows, R.Result.Cols,
                 static_cast<unsigned long long>(
-                    net::fnv1a(R.Result.Data.data(),
+                    fnv1a64(R.Result.Data.data(),
                                R.Result.Data.size() * sizeof(float))));
   return 0;
 }

@@ -32,7 +32,7 @@
 namespace cmcc {
 namespace net {
 
-/// One named global array on the wire (raw f32 data + FNV-1a64
+/// One named global array on the wire (raw f32 data + fnv1a64Words
 /// checksum, via ByteWriter::floats).
 struct GridPayload {
   std::string Name;

@@ -504,12 +504,24 @@ void Server::closeConn(uint64_t ConnId) {
   Conns.erase(It);
   ++Stats.Closed;
   FR::process().record(FR::EventKind::ConnClosed, nullptr, ConnId);
-  // Jobs this connection submitted stay alive — the service is already
-  // running them and tearing down their arrays mid-execution would be
-  // a use-after-free. Their results are discarded at completion.
-  for (auto &[Id, J] : Jobs)
+  // Unfinished jobs this connection submitted stay alive — the service
+  // is still running them and tearing down their arrays mid-execution
+  // would be a use-after-free. Their results are discarded at
+  // completion; finished ones nobody waits for are discarded now.
+  for (auto It = Jobs.begin(); It != Jobs.end();) {
+    JobRec &J = (It++)->second; // Advanced first: discardJob erases J.
     if (J.HasWaiter && J.WaiterConn == ConnId)
       J.HasWaiter = false;
+    if (J.Finished && !J.HasWaiter && J.ConnId == ConnId)
+      discardJob(J.Id);
+  }
+}
+
+void Server::discardJob(StencilService::JobId Id) {
+  // Collect the service's record too; the job is finished, so this
+  // wait() returns without blocking.
+  Service.wait(Id);
+  Jobs.erase(Id);
 }
 
 //===----------------------------------------------------------------------===//
@@ -847,14 +859,13 @@ void Server::processFinished() {
       continue; // Already delivered (finished-before-wait path).
     JobRec &J = It->second;
     J.Finished = true;
-    if (!J.HasWaiter) {
-      if (Conns.find(J.ConnId) == Conns.end())
-        Jobs.erase(It); // Orphan: submitter gone, discard the result.
-      continue;
-    }
-    auto CIt = Conns.find(J.WaiterConn);
+    auto CIt = J.HasWaiter ? Conns.find(J.WaiterConn) : Conns.end();
     if (CIt == Conns.end()) {
+      // No live waiter. An orphan (submitter gone) is discarded now;
+      // otherwise the result is kept for a later WaitRequest.
       J.HasWaiter = false;
+      if (Conns.find(J.ConnId) == Conns.end())
+        discardJob(Id);
       continue;
     }
     const uint64_t WaiterConn = J.WaiterConn;

@@ -150,6 +150,9 @@ private:
   /// Drains the finished-job queue fed by the service callback.
   void processFinished();
   void closeConn(uint64_t ConnId);
+  /// Drops a finished job nobody will wait for: collects it from the
+  /// service and frees its bound arrays.
+  void discardJob(StencilService::JobId Id);
   /// True when draining with nothing left to serve or flush.
   bool drainComplete() const;
 

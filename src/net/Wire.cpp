@@ -136,7 +136,7 @@ void ByteWriter::floats(const float *Data, size_t Count) {
   Buf.resize(At + Bytes);
   if (Bytes)
     std::memcpy(Buf.data() + At, Data, Bytes);
-  u64(fnv1a64(Buf.data() + At, Bytes));
+  u64(fnv1a64Words(Buf.data() + At, Bytes));
 }
 
 bool ByteReader::str(std::string &S, size_t MaxLen) {
@@ -163,7 +163,7 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
     Failed = true;
     return false;
   }
-  const uint64_t Want = fnv1a64(Data + Pos, Bytes);
+  const uint64_t Want = fnv1a64Words(Data + Pos, Bytes);
   V.resize(N);
   if (Bytes)
     std::memcpy(V.data(), Data + Pos, Bytes);

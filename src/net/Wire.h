@@ -18,18 +18,21 @@
 ///
 ///   offset  size  field
 ///        0     4  magic      0x434D4331 ("CMC1" on a little-endian wire)
-///        4     2  version    protocol version (currently 2; 1 accepted)
+///        4     2  version    protocol version (3; no other accepted)
 ///        6     2  type       MsgType
 ///        8     4  tenant     tenant id (0 = anonymous default tenant)
 ///       12     8  request id caller-chosen correlation id, echoed back
 ///       20     4  payload length in bytes (<= MaxPayloadBytes)
 ///       24     4  header checksum: FNV-1a over bytes [0, 24)
 ///
-/// The protocol's only hash is support/Hash.h's fnv1a64: header
-/// checksums truncate it to 32 bits, grid payloads keep all 64.
-/// The checksum is verified before the length field is trusted, so a
-/// corrupt header cannot command a giant read. Float arrays travel as
-/// raw IEEE-754 bit patterns guarded by an FNV-1a64 payload checksum —
+/// The protocol's hashes come from support/Hash.h: header checksums
+/// truncate the byte-serial fnv1a64 to 32 bits, and grid payloads carry
+/// all 64 bits of the word-parallel fnv1a64Words, which runs at memory
+/// speed (a grid is checksummed once by each sender and receiver, so a
+/// byte loop there would cost more than the wire itself).
+/// The header checksum is verified before the length field is trusted,
+/// so a corrupt header cannot command a giant read. Float arrays travel
+/// as raw IEEE-754 bit patterns guarded by their payload checksum —
 /// results that cross the wire are bitwise what the backend produced.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,11 +54,13 @@ constexpr uint32_t FrameMagic = 0x31434D43u;
 
 /// The protocol version this library speaks. Bumped on any frame or
 /// payload layout change. Version 2 added the submit trace-context
-/// fields and the Timeline/Dump message pairs; every v2 payload change
-/// is append-only, so frames from MinProtocolVersion peers still decode
-/// and both ends reject anything outside [Min, Current] cleanly.
-constexpr uint16_t ProtocolVersion = 2;
-constexpr uint16_t MinProtocolVersion = 1;
+/// fields and the Timeline/Dump message pairs (append-only). Version 3
+/// changed the grid checksum to fnv1a64Words, so a v1/v2 peer's grids
+/// could not verify: both ends refuse any version outside [Min,
+/// Current] at the header, with "unsupported protocol version", before
+/// a payload is read.
+constexpr uint16_t ProtocolVersion = 3;
+constexpr uint16_t MinProtocolVersion = 3;
 
 /// Upper bound on one frame's payload. Large enough for a 2048-node
 /// machine's gathered result grid, small enough that a corrupt or
@@ -143,8 +148,8 @@ public:
   /// u32 length followed by the raw bytes.
   void str(const std::string &S);
 
-  /// u32 element count, raw IEEE-754 floats, then an FNV-1a64 checksum
-  /// of those float bytes.
+  /// u32 element count, raw IEEE-754 floats, then the fnv1a64Words
+  /// checksum of those float bytes.
   void floats(const float *Data, size_t Count);
 
   size_t size() const { return Buf.size(); }

@@ -248,6 +248,7 @@ std::string StencilService::timelineJson(JobId Id) const {
 StencilService::JobId StencilService::submit(JobRequest Request) {
   CMCC_SPAN("service.submit");
   Job *Raw;
+  JobId Id;
   bool RejectedNow = false;
   {
     std::unique_lock<std::mutex> Lock(JobsMutex);
@@ -296,6 +297,7 @@ StencilService::JobId StencilService::submit(JobRequest Request) {
       J->HasDeadline = true;
     }
     Raw = J.get();
+    Id = Raw->Id;
     Raw->AdmittedNs = obs::detail::nowNs();
     note(*Raw, JobEvent::Submitted);
     JobsSubmitted.add(1);
@@ -327,16 +329,18 @@ StencilService::JobId StencilService::submit(JobRequest Request) {
       ++TC.InFlight;
       ++TC.Queued;
     }
-    Jobs.emplace(Raw->Id, std::move(J));
+    Jobs.emplace(Id, std::move(J));
   }
+  // From here on the record may already be collected by a wait() on
+  // another thread: only the id is used.
   JobsChanged.notify_all();
   if (RejectedNow) {
     // A born-Failed job never reaches finish(); deliver its completion
     // notification here (after the job is visible in the table).
     if (std::function<void(JobId)> Cb = finishedCallback())
-      Cb(Raw->Id);
+      Cb(Id);
   }
-  return Raw->Id;
+  return Id;
 }
 
 StencilService::JobState StencilService::poll(JobId Id) const {
@@ -418,21 +422,28 @@ bool StencilService::cancel(JobId Id) {
 
 StencilService::JobResult StencilService::wait(JobId Id) {
   std::unique_lock<std::mutex> Lock(JobsMutex);
-  auto It = Jobs.find(Id);
+  // Re-found on every wake-up: a concurrent wait() on the same id may
+  // collect the record first.
+  auto It = Jobs.end();
+  JobsChanged.wait(Lock, [&] {
+    It = Jobs.find(Id);
+    return It == Jobs.end() || It->second->State == JobState::Done ||
+           It->second->State == JobState::Failed;
+  });
   if (It == Jobs.end()) {
-    // Waiting on an id submit() never returned must not hang (nothing
-    // will ever finish it) or assert (release builds would read past
-    // end). A definite failed result is the only safe answer.
+    // An id submit() never returned, or one already collected, must not
+    // hang (nothing will ever finish it) or assert (release builds would
+    // read past end). A definite failed result is the only safe answer.
     JobResult R;
     R.Status = JobStatus::BadJobId;
     R.Message = "wait on unknown job id " + std::to_string(Id);
     return R;
   }
-  Job *J = It->second.get();
-  JobsChanged.wait(Lock, [&] {
-    return J->State == JobState::Done || J->State == JobState::Failed;
-  });
-  return J->Result;
+  // Collected: the result is handed over once and the record freed, so
+  // the table holds only jobs nobody has collected yet.
+  JobResult R = std::move(It->second->Result);
+  Jobs.erase(It);
+  return R;
 }
 
 void StencilService::drain() {
@@ -922,6 +933,7 @@ void StencilService::execute(Job &J, const CompiledStencil &Plan) {
 }
 
 void StencilService::finish(Job &J, JobState Final) {
+  const JobId Id = J.Id;
   note(J, Final == JobState::Done ? JobEvent::Done : JobEvent::Failed);
   const uint64_t TotalMs = (obs::detail::nowNs() - J.AdmittedNs) / 1000000u;
   const bool Slow =
@@ -957,6 +969,8 @@ void StencilService::finish(Job &J, JobState Final) {
     J.State = Final;
     archiveTimelineLocked(J);
   }
+  // Published: a wait() may now collect and free J, so nothing below
+  // touches it.
   JobsChanged.notify_all();
   // A slow job's spans go to disk NOW (even though the trace normally
   // flushes on its own cadence): if the process dies later, the
@@ -964,7 +978,7 @@ void StencilService::finish(Job &J, JobState Final) {
   if (Slow && obs::Trace::active())
     obs::Trace::flush();
   if (std::function<void(JobId)> Cb = finishedCallback())
-    Cb(J.Id);
+    Cb(Id);
 }
 
 ServiceStats StencilService::stats() const {

@@ -333,20 +333,24 @@ public:
   /// JobStatus::QueueFull — so poll/wait work uniformly.
   JobId submit(JobRequest Request);
 
-  /// Current state of \p Id. An id submit() never returned reports
-  /// JobState::Failed (the state wait() would explain as BadJobId).
+  /// Current state of \p Id. An id submit() never returned, or one
+  /// already collected by wait(), reports JobState::Failed (the state
+  /// wait() would explain as BadJobId).
   JobState poll(JobId Id) const;
 
-  /// Blocks until \p Id finishes; returns its result. An id submit()
-  /// never returned yields an immediate failed result with
-  /// JobStatus::BadJobId — never a hang.
+  /// Blocks until \p Id finishes, then collects it: the result is
+  /// handed over once and the job's record is freed, so later
+  /// poll/wait calls answer as for an unknown id. An id submit() never
+  /// returned (or already collected) yields an immediate failed result
+  /// with JobStatus::BadJobId — never a hang. Every submitted job
+  /// should be collected once; an uncollected one keeps its record.
   JobResult wait(JobId Id);
 
   /// Best-effort cancellation: removes \p Id from the queue and fails
-  /// it with JobStatus::Cancelled. Returns false (and does nothing)
-  /// once a worker has picked the job up — execution is never torn
-  /// down mid-flight, so a false return means wait() will deliver the
-  /// job's real outcome.
+  /// it with JobStatus::Cancelled (still to be collected by wait()).
+  /// Returns false (and does nothing) once a worker has picked the job
+  /// up — execution is never torn down mid-flight, so a false return
+  /// means wait() will deliver the job's real outcome.
   bool cancel(JobId Id);
 
   /// Registers \p Cb to run (on the finishing thread, outside service
@@ -494,6 +498,7 @@ private:
   //===--- Job table and queue --------------------------------------------===//
   mutable std::mutex JobsMutex;
   std::condition_variable JobsChanged;
+  /// Jobs submitted and not yet collected by wait().
   std::unordered_map<JobId, std::unique_ptr<Job>> Jobs;
   std::deque<Job *> Queue;
   JobId NextId = 1;

@@ -23,7 +23,9 @@ ThreadPool::ThreadPool(int Threads)
       LoopsActive(obs::Registry::process().gauge("threadpool.loops_active")),
       TaskWaitUs(
           obs::Registry::process().histogram("threadpool.task_wait_us")),
-      LoopUs(obs::Registry::process().histogram("threadpool.loop_us")) {
+      LoopUs(obs::Registry::process().histogram("threadpool.loop_us")),
+      BusyInline(
+          obs::Registry::process().counter("threadpool.busy_inline_total")) {
   int Spawn = Threads < 1 ? 0 : Threads - 1;
   Workers.reserve(Spawn);
   for (int I = 0; I != Spawn; ++I)
@@ -87,23 +89,29 @@ void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
   if (N <= 0)
     return;
   LoopsTotal.add(1);
-  // Serial pool, tiny loop, a nested call from a loop body — or an
-  // injected dispatch fault, which degrades this loop to inline serial
-  // execution. Dispatch is the one site whose fault is benign by
-  // construction: any thread count (including one) computes identical
-  // bits, so the degraded mode must not change results.
-  if (Workers.empty() || N == 1 || InsideLoopBody ||
-      fault::probe("threadpool.dispatch")) {
+  auto RunInline = [&] {
     for (int I = 0; I != N; ++I)
       Fn(I);
-    return;
+  };
+  // Serial pool, tiny loop, a nested call from a loop body — or an
+  // injected dispatch fault, which degrades this loop to inline serial
+  // execution. Any thread count (including one) computes identical
+  // bits, so running inline never changes results.
+  if (Workers.empty() || N == 1 || InsideLoopBody ||
+      fault::probe("threadpool.dispatch"))
+    return RunInline();
+  // A pool busy with another caller's loop is not waited for: its loops
+  // last microseconds, and concurrent service workers queueing behind
+  // each other lost more time than running their own loop serially.
+  std::unique_lock<std::mutex> OneCaller(CallerMutex, std::try_to_lock);
+  if (!OneCaller.owns_lock()) {
+    BusyInline.add(1);
+    return RunInline();
   }
-  // Loops queued on the pool (waiting on CallerMutex) plus the one
-  // running: the pool's task-queue depth, high-water mark included.
+  // Loops running on pools (callers no longer queue, so one per pool).
   LoopsActive.add(1);
   obs::ScopedLatencyUs LoopTimer(LoopUs);
   CMCC_SPAN("threadpool.parallel_for");
-  std::lock_guard<std::mutex> OneCaller(CallerMutex);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Body = &Fn;

@@ -12,8 +12,10 @@
 /// is embarrassingly parallel on the host. The pool deliberately has no
 /// work stealing and no futures: one parallelFor at a time, indices
 /// handed out by an atomic counter, the caller participating as a
-/// worker. That is all the executor needs, and it keeps the engine easy
-/// to reason about (and to run under -fsanitize=thread).
+/// worker. A second caller that finds the pool busy does not queue: it
+/// runs its own loop inline (DESIGN.md §5b). That is all the executor
+/// needs, and it keeps the engine easy to reason about (and to run
+/// under -fsanitize=thread).
 ///
 /// Parallelism must never change results: every index writes disjoint
 /// data, and each index's work is internally sequential, so the output
@@ -54,9 +56,10 @@ public:
   int threadCount() const { return static_cast<int>(Workers.size()) + 1; }
 
   /// Runs Fn(0) ... Fn(N-1), in unspecified order, and returns when all
-  /// calls have finished. The calling thread executes its share.
-  /// Concurrent calls from different threads are serialized; a call from
-  /// inside a loop body runs inline (no nested fan-out, no deadlock).
+  /// calls have finished. The calling thread executes its share. A call
+  /// made while another thread's loop holds the pool, or from inside a
+  /// loop body, runs all of its indices inline on the caller: it never
+  /// waits for the pool (no queueing, no nested fan-out, no deadlock).
   void parallelFor(int N, const std::function<void(int)> &Fn);
 
   /// The process-wide pool the executor uses: lazily constructed on
@@ -78,7 +81,8 @@ private:
   std::mutex Mutex;
   std::condition_variable WorkReady;
   std::condition_variable WorkDone;
-  /// Serializes concurrent parallelFor callers.
+  /// Held by the one caller whose loop runs on the pool; others find it
+  /// taken (try_lock) and run inline.
   std::mutex CallerMutex;
 
   const std::function<void(int)> *Body = nullptr;
@@ -93,9 +97,10 @@ private:
   std::atomic<std::uint64_t> DispatchNs{0};
   //===--- Observability (process registry; pools share the names) --------===//
   obs::Counter &LoopsTotal;   ///< threadpool.loops_total
-  obs::Gauge &LoopsActive;    ///< threadpool.loops_active (depth + max)
+  obs::Gauge &LoopsActive;    ///< threadpool.loops_active (on pools + max)
   obs::Histogram &TaskWaitUs; ///< threadpool.task_wait_us
   obs::Histogram &LoopUs;     ///< threadpool.loop_us
+  obs::Counter &BusyInline;   ///< threadpool.busy_inline_total
   /// Incremented per parallelFor; wakes workers exactly once per loop.
   long Generation = 0;
   /// Workers still inside the current loop.

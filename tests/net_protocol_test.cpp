@@ -21,6 +21,8 @@
 #include "net/Wire.h"
 #include "support/Random.h"
 #include <gtest/gtest.h>
+#include <algorithm>
+#include <cstring>
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -215,6 +217,21 @@ TEST(NetWireTest, FrameHeaderRejectsWrongVersionAndUnknownType) {
   R = decodeFrameHeader(Buf, sizeof(Buf));
   ASSERT_FALSE(R);
   EXPECT_NE(R.error().message().find("type"), std::string::npos);
+}
+
+TEST(NetWireTest, FrameHeaderRefusesVersionTwo) {
+  // A v2 peer checksums grids with byte-serial FNV-1a: it is refused at
+  // the header, by name, before any of its grids could fail to verify.
+  FrameHeader H;
+  H.Version = 2;
+  H.Type = MsgType::SubmitRequest;
+  uint8_t Buf[FrameHeaderBytes];
+  encodeFrameHeader(H, Buf);
+  Expected<FrameHeader> R = decodeFrameHeader(Buf, sizeof(Buf));
+  ASSERT_FALSE(R);
+  EXPECT_NE(R.error().message().find("unsupported protocol version 2"),
+            std::string::npos)
+      << R.error().message();
 }
 
 TEST(NetWireTest, FrameHeaderRejectsOversizedPayloadLength) {
@@ -492,9 +509,8 @@ TEST(NetProtocolTest, TimelineAndDumpRoundTrip) {
 }
 
 TEST(NetWireTest, FrameHeaderAcceptsTheOldestSupportedVersion) {
-  // A v1 peer's frames still decode (the payload codecs treat the
-  // missing v2 tails as absent); only versions outside
-  // [MinProtocolVersion, ProtocolVersion] are refused.
+  // Only versions outside [MinProtocolVersion, ProtocolVersion] are
+  // refused.
   FrameHeader H;
   H.Version = MinProtocolVersion;
   H.Type = MsgType::SubmitRequest;
@@ -533,7 +549,7 @@ TEST(NetProtocolTest, SingleByteCorruptionNeverCrashes) {
 
 TEST(NetProtocolTest, GridDataCorruptionIsCaughtByChecksum) {
   // A flipped bit inside the float block specifically must fail the
-  // FNV-1a64 payload checksum — results never arrive silently wrong.
+  // grid payload checksum — results never arrive silently wrong.
   GridPayload G = sampleGrid("X", 8, 8, 9);
   ByteWriter W;
   encodeGrid(W, G);
@@ -547,6 +563,46 @@ TEST(NetProtocolTest, GridDataCorruptionIsCaughtByChecksum) {
     GridPayload Out;
     EXPECT_FALSE(decodeGrid(R, Out) && R.exhausted()) << "byte " << I;
   }
+}
+
+TEST(NetProtocolTest, EveryBitFlipInAGridPayloadFailsToDecode) {
+  // 67 floats = 268 bytes: four whole 64-byte blocks through the
+  // checksum's word lanes plus a 12-byte tail, so both paths are hit.
+  GridPayload G = sampleGrid("X", 1, 67, 11);
+  ByteWriter W;
+  encodeGrid(W, G);
+  std::vector<uint8_t> B = W.take();
+  const size_t FloatsStart = 4 + G.Name.size() + 4 + 4 + 4;
+  const size_t FloatsEnd = FloatsStart + 67 * sizeof(float);
+  ASSERT_EQ(B.size(), FloatsEnd + sizeof(uint64_t));
+  for (size_t I = FloatsStart; I != FloatsEnd; ++I)
+    for (int Bit = 0; Bit != 8; ++Bit) {
+      std::vector<uint8_t> Bad = B;
+      Bad[I] ^= static_cast<uint8_t>(1u << Bit);
+      ByteReader R(Bad.data(), Bad.size());
+      GridPayload Out;
+      EXPECT_FALSE(decodeGrid(R, Out)) << "byte " << I << " bit " << Bit;
+    }
+}
+
+TEST(NetProtocolTest, SwappedWordsInDifferentLanesFailToDecode) {
+  // Words 0 and 1 of the float block feed checksum lanes 0 and 1; the
+  // swap keeps every byte value, so only the lane structure can see it.
+  GridPayload G = sampleGrid("X", 1, 67, 12);
+  ByteWriter W;
+  encodeGrid(W, G);
+  std::vector<uint8_t> B = W.take();
+  const size_t FloatsStart = 4 + G.Name.size() + 4 + 4 + 4;
+  std::vector<uint8_t> Bad = B;
+  ASSERT_NE(std::memcmp(&Bad[FloatsStart], &Bad[FloatsStart + 8], 8), 0);
+  std::swap_ranges(Bad.begin() + FloatsStart, Bad.begin() + FloatsStart + 8,
+                   Bad.begin() + FloatsStart + 8);
+  ByteReader R(Bad.data(), Bad.size());
+  GridPayload Out;
+  EXPECT_FALSE(decodeGrid(R, Out));
+  // The untouched payload still decodes: the failure is the swap's.
+  ByteReader Good(B.data(), B.size());
+  EXPECT_TRUE(decodeGrid(Good, Out) && Good.exhausted());
 }
 
 TEST(NetProtocolTest, GridRejectsShapeMismatchAndHostileCounts) {

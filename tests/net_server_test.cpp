@@ -355,6 +355,48 @@ TEST_F(NetServerTest, CancelOverTheWire) {
   EXPECT_TRUE(BusyResult->Ok) << BusyResult->Message;
 }
 
+TEST_F(NetServerTest, JobsNobodyWillWaitForAreCollectedFromTheService) {
+  // A job whose submitter disconnects is discarded by the server, and it
+  // must be collected from the service too, or its record stays there
+  // for good: poll() keeps answering Done instead of Failed (unknown).
+  // One job finishes after its submitter is gone, the other before.
+  StencilService::Options SOpts;
+  SOpts.Workers = 1;
+  Harness H(SOpts);
+  net::SubmitRequest Job;
+  Job.Kind = static_cast<uint8_t>(StencilService::SourceKind::FortranAssignment);
+  Job.Source = CrossSource;
+  auto Collected = [&](int64_t Id) {
+    for (int I = 0; I < 500; ++I) {
+      if (H.Service->poll(Id) == StencilService::JobState::Failed)
+        return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+
+  auto Early = H.client();
+  ASSERT_TRUE(Early);
+  Expected<net::SubmitResponse> Done = Early->submit(Job);
+  ASSERT_TRUE(Done) << Done.error().message();
+  for (int I = 0; I < 500 && H.Service->poll(Done->JobId) !=
+                                 StencilService::JobState::Done;
+       ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(H.Service->poll(Done->JobId), StencilService::JobState::Done);
+  Early.reset();
+  EXPECT_TRUE(Collected(Done->JobId));
+
+  fault::Registry::process().arm(
+      delayRule("backend.cm2.run", /*DelayMs=*/300, /*MaxFires=*/1));
+  auto Late = H.client();
+  ASSERT_TRUE(Late);
+  Expected<net::SubmitResponse> Running = Late->submit(Job);
+  ASSERT_TRUE(Running) << Running.error().message();
+  Late.reset();
+  EXPECT_TRUE(Collected(Running->JobId));
+}
+
 TEST_F(NetServerTest, MalformedPayloadAnsweredAndConnectionSurvives) {
   Harness H;
   auto C = H.client();

@@ -27,12 +27,15 @@
 #include "support/Random.h"
 #include "support/ThreadPool.h"
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
 #include <memory>
 #include <numeric>
+#include <thread>
 
 using namespace cmcc;
 
@@ -135,6 +138,53 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     Pool.parallelFor(8, [&](int J) { ++Hits[I * 8 + J]; });
   });
   EXPECT_EQ(std::accumulate(Hits.begin(), Hits.end(), 0), 64);
+}
+
+TEST(ThreadPoolTest, BusyPoolRunsASecondCallerInline) {
+  // The first caller's loop holds the pool until the second caller has
+  // finished its own loop. A second caller that queued for the pool
+  // would never finish first; the first loop's wait is bounded so such
+  // a regression fails here instead of hanging.
+  ThreadPool Pool(4);
+  std::atomic<bool> FirstHoldsPool{false};
+  std::atomic<bool> SecondDone{false};
+  std::atomic<bool> FirstSawSecondDone{false};
+  std::thread First([&] {
+    Pool.parallelFor(4, [&](int I) {
+      if (I != 0)
+        return;
+      FirstHoldsPool = true;
+      const auto Limit =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!SecondDone && std::chrono::steady_clock::now() < Limit)
+        std::this_thread::yield();
+      FirstSawSecondDone = SecondDone.load();
+    });
+  });
+  while (!FirstHoldsPool)
+    std::this_thread::yield();
+
+  const int N = 1000;
+  auto Term = [](int I) {
+    float X = static_cast<float>(I) * 0.37f + 1.0f;
+    return X * X / (X + 3.0f) - std::sqrt(X);
+  };
+  std::vector<float> Got(N), Want(N);
+  std::vector<std::thread::id> Ran(N);
+  Pool.parallelFor(N, [&](int I) {
+    Got[I] = Term(I);
+    Ran[I] = std::this_thread::get_id();
+  });
+  SecondDone = true;
+  First.join();
+
+  EXPECT_TRUE(FirstSawSecondDone) << "second caller waited for the pool";
+  for (int I = 0; I != N; ++I)
+    Want[I] = Term(I);
+  EXPECT_EQ(std::memcmp(Got.data(), Want.data(), N * sizeof(float)), 0);
+  EXPECT_TRUE(std::all_of(Ran.begin(), Ran.end(), [](std::thread::id T) {
+    return T == std::this_thread::get_id();
+  }));
 }
 
 TEST(ThreadPoolTest, SerialPoolAndEmptyLoop) {

@@ -34,6 +34,8 @@
 #include "support/Random.h"
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 
@@ -255,4 +257,51 @@ TEST(ServiceSoakTest, MixedBackendChaosLosesNoJobsAndNoBits) {
         << "pattern " << patternName(Job.Pattern) << " seed " << Job.Seed
         << " on " << S.Backend;
   }
+}
+
+TEST(ServiceSoakTest, SubmitWaitCyclesCollectEveryRecord) {
+  // wait() frees a job's record while the finishing worker may still be
+  // notifying waiters and running the completion callback for it. Two
+  // workers and two producers run 5000 submit+wait cycles each; under
+  // the sanitizers any touch of a collected record is a failure.
+  std::atomic<long> Callbacks{0};
+  StencilService::Options Opts;
+  Opts.Workers = 2;
+  StencilService Service(machine(), Opts);
+  Service.setJobFinishedCallback(
+      [&](StencilService::JobId) { Callbacks.fetch_add(1); });
+  constexpr int Producers = 2;
+  constexpr int Cycles = 5000;
+  std::atomic<long> Ok{0};
+  std::atomic<long> Uncollected{0};
+  std::vector<std::thread> Threads;
+  for (int P = 0; P != Producers; ++P)
+    Threads.emplace_back([&] {
+      StencilService::JobRequest Req;
+      Req.Kind = StencilService::SourceKind::FortranAssignment;
+      Req.Source = "R = C1*CSHIFT(X,1,-1) + C2*X";
+      Req.SubRows = 8;
+      Req.SubCols = 8;
+      for (int I = 0; I != Cycles; ++I) {
+        const StencilService::JobId Id = Service.submit(Req);
+        if (Service.wait(Id).Ok)
+          Ok.fetch_add(1);
+        if (Service.wait(Id).Status != StencilService::JobStatus::BadJobId)
+          Uncollected.fetch_add(1);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Ok.load(), Producers * Cycles);
+  EXPECT_EQ(Uncollected.load(), 0);
+  const ServiceStats S = Service.stats();
+  EXPECT_EQ(S.JobsSubmitted, Producers * Cycles);
+  EXPECT_EQ(S.JobsCompleted, Producers * Cycles);
+  // A callback may still be running after its job's waiter returned;
+  // each one fires exactly once (bounded wait, so a loss fails).
+  const auto Limit = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Callbacks.load() < Producers * Cycles &&
+         std::chrono::steady_clock::now() < Limit)
+    std::this_thread::yield();
+  EXPECT_EQ(Callbacks.load(), Producers * Cycles);
 }

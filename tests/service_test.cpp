@@ -606,6 +606,46 @@ TEST(StencilServiceTest, WaitOnUnknownJobIdReturnsBadJobId) {
   EXPECT_EQ(Service.stats().JobsFailed, 0);
 }
 
+TEST(StencilServiceTest, WaitCollectsAJobExactlyOnce) {
+  // wait() hands the result over once and frees the job's record: a
+  // second wait answers BadJobId and poll answers Failed, as for an id
+  // never issued. The ledger and the timeline ring are unaffected.
+  StencilService Service(machine(), {});
+  StencilService::JobRequest Req;
+  Req.Kind = StencilService::SourceKind::FortranAssignment;
+  Req.Source = "R = C1*CSHIFT(X,1,-1) + C2*X";
+  const StencilService::JobId Id = Service.submit(Req);
+  StencilService::JobResult First = Service.wait(Id);
+  EXPECT_TRUE(First.Ok) << First.Message;
+  EXPECT_EQ(Service.poll(Id), StencilService::JobState::Failed);
+  StencilService::JobResult Second = Service.wait(Id);
+  EXPECT_FALSE(Second.Ok);
+  EXPECT_EQ(Second.Status, StencilService::JobStatus::BadJobId);
+  EXPECT_EQ(Service.stats().JobsCompleted, 1);
+  EXPECT_EQ(Service.stats().JobsFailed, 0);
+  EXPECT_TRUE(Service.timeline(Id));
+}
+
+TEST(StencilServiceTest, ConcurrentWaitersOnOneIdGetOneResult) {
+  // Two threads parked on the same id: the first to wake collects the
+  // result, the other finds the record gone and answers BadJobId —
+  // never a read of the freed record.
+  StencilService::Options Opts;
+  Opts.Workers = 1;
+  StencilService Service(machine(), Opts);
+  StencilService::JobRequest Req;
+  Req.Kind = StencilService::SourceKind::FortranAssignment;
+  Req.Source = "R = C1*CSHIFT(X,1,-1) + C2*X";
+  const StencilService::JobId Id = Service.submit(Req);
+  StencilService::JobResult A, B;
+  std::thread Other([&] { B = Service.wait(Id); });
+  A = Service.wait(Id);
+  Other.join();
+  EXPECT_EQ(A.Ok + B.Ok, 1);
+  const StencilService::JobResult &Loser = A.Ok ? B : A;
+  EXPECT_EQ(Loser.Status, StencilService::JobStatus::BadJobId);
+}
+
 //===----------------------------------------------------------------------===//
 // Plan batching (DESIGN.md §5k)
 //===----------------------------------------------------------------------===//

@@ -11,6 +11,8 @@
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 using namespace cmcc;
 
@@ -116,6 +118,50 @@ TEST(HashTest, Fnv1a64StandardVectors) {
   const unsigned char Bytes[] = {'f', 'o', 'o', 'b', 'a', 'r'};
   EXPECT_EQ(fnv1a64(Bytes, sizeof(Bytes)), 0x85944171f73967e8ull);
   EXPECT_EQ(fingerprintHex(fnv1a64("a")), "af63dc4c8601ec8c");
+}
+
+namespace {
+/// Deterministic test bytes for the fnv1a64Words vectors.
+std::vector<unsigned char> hashTestBytes(size_t N) {
+  std::vector<unsigned char> B(N);
+  for (size_t I = 0; I != N; ++I)
+    B[I] = static_cast<unsigned char>(I * 131 + 7);
+  return B;
+}
+} // namespace
+
+TEST(HashTest, Fnv1a64WordsPinnedVectors) {
+  // Grid checksums on the wire: a change here is a protocol change.
+  // The lengths cover empty, tail only, one word, one block less a
+  // byte, one block, a block plus a tail byte and many blocks.
+  const std::vector<unsigned char> B = hashTestBytes(4099);
+  const std::pair<size_t, uint64_t> Vectors[] = {
+      {0, 0xb09c709360ad23a4ull},    {1, 0x1491d206a6a94f78ull},
+      {7, 0x88a1389c2cc0b097ull},    {8, 0xd7bda6d8b2c2c54cull},
+      {63, 0x5f9fd213ad060e97ull},   {64, 0xdbe7162c742aa8fdull},
+      {65, 0x2f885e0143440f0full},   {4099, 0xf726fbf720f8f45eull}};
+  for (const auto &[Len, Want] : Vectors)
+    EXPECT_EQ(fnv1a64Words(B.data(), Len), Want) << "length " << Len;
+}
+
+TEST(HashTest, Fnv1a64WordsSeesEveryBitFlipAndSameLanePairs) {
+  std::vector<unsigned char> B = hashTestBytes(200);
+  const uint64_t Clean = fnv1a64Words(B.data(), B.size());
+  for (size_t I = 0; I != B.size(); ++I)
+    for (int Bit = 0; Bit != 8; ++Bit) {
+      B[I] ^= static_cast<unsigned char>(1u << Bit);
+      EXPECT_NE(fnv1a64Words(B.data(), B.size()), Clean)
+          << "byte " << I << " bit " << Bit;
+      B[I] ^= static_cast<unsigned char>(1u << Bit);
+    }
+  // Bit 63 of words 0 and 8 (both lane 0): without the per-step rotate
+  // these two flips would cancel inside the lane.
+  B[7] ^= 0x80;
+  B[71] ^= 0x80;
+  EXPECT_NE(fnv1a64Words(B.data(), B.size()), Clean);
+  // The length is folded in: trailing zero bytes are not free.
+  std::vector<unsigned char> Z(64, 0);
+  EXPECT_NE(fnv1a64Words(Z.data(), 63), fnv1a64Words(Z.data(), 64));
 }
 
 TEST(HashTest, SeedChainsPiecesAndKeepsTheFingerprintSeed) {

@@ -12,6 +12,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -20,17 +21,26 @@ using namespace cmcc::net;
 
 namespace {
 
-/// write(2) until every byte is out (handles partial writes + EINTR).
-Error writeFull(int Fd, const uint8_t *Data, size_t Len) {
-  size_t Done = 0;
-  while (Done < Len) {
-    const ssize_t N = ::send(Fd, Data + Done, Len - Done, MSG_NOSIGNAL);
+/// sendmsg(2) until every byte of the \p Count buffers is out (handles
+/// partial writes + EINTR). Advances \p Iov past what was written.
+Error writeFull(int Fd, iovec *Iov, size_t Count) {
+  while (Count) {
+    msghdr Msg{};
+    Msg.msg_iov = Iov;
+    Msg.msg_iovlen = Count;
+    const ssize_t N = ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       return Error::failure(std::string("socket write: ") + std::strerror(errno));
     }
-    Done += static_cast<size_t>(N);
+    size_t Done = static_cast<size_t>(N);
+    for (; Count && Done >= Iov->iov_len; ++Iov, --Count)
+      Done -= Iov->iov_len;
+    if (Count) {
+      Iov->iov_base = static_cast<uint8_t *>(Iov->iov_base) + Done;
+      Iov->iov_len -= Done;
+    }
   }
   return Error::success();
 }
@@ -102,9 +112,17 @@ Client::~Client() {
 
 Error Client::sendRequest(MsgType Type, uint64_t RequestId,
                           const std::vector<uint8_t> &Payload) {
-  const std::vector<uint8_t> Frame =
-      buildFrame(Type, RequestId, Tenant, Payload);
-  return writeFull(Fd, Frame.data(), Frame.size());
+  // Header and payload go out in one sendmsg, with no frame copy.
+  FrameHeader H;
+  H.Type = Type;
+  H.Tenant = Tenant;
+  H.RequestId = RequestId;
+  H.PayloadBytes = static_cast<uint32_t>(Payload.size());
+  uint8_t Header[FrameHeaderBytes];
+  encodeFrameHeader(H, Header);
+  iovec Iov[2] = {{Header, sizeof(Header)},
+                  {const_cast<uint8_t *>(Payload.data()), Payload.size()}};
+  return writeFull(Fd, Iov, 2);
 }
 
 Expected<Client::RawResponse> Client::receive() {

@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "net/Protocol.h"
+#include <cassert>
+#include <cstring>
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -16,12 +18,36 @@ void net::encodeGrid(ByteWriter &W, const GridPayload &G) {
   W.floats(G.Data.data(), G.Data.size());
 }
 
-bool net::decodeGrid(ByteReader &R, GridPayload &G) {
+void net::encodeGridInPlace(ByteWriter &W, const std::string &Name,
+                            uint32_t Rows, uint32_t Cols,
+                            const std::function<void(uint8_t *)> &Fill) {
+  W.str(Name);
+  W.u32(Rows);
+  W.u32(Cols);
+  W.floatsInPlace(static_cast<size_t>(Rows) * Cols, Fill);
+}
+
+bool net::decodeGrid(ByteReader &R, GridView &G) {
+  uint32_t Count = 0;
   if (!R.str(G.Name) || !R.u32(G.Rows) || !R.u32(G.Cols) ||
-      !R.floats(G.Data))
+      !R.floats(G.Data, Count))
     return false;
   // The dimensions must describe exactly the floats that arrived.
-  return static_cast<uint64_t>(G.Rows) * G.Cols == G.Data.size();
+  return static_cast<uint64_t>(G.Rows) * G.Cols == Count;
+}
+
+bool net::decodeGrid(ByteReader &R, GridPayload &G) {
+  GridView V;
+  if (!decodeGrid(R, V))
+    return false;
+  G.Name = std::move(V.Name);
+  G.Rows = V.Rows;
+  G.Cols = V.Cols;
+  const size_t Count = static_cast<size_t>(V.Rows) * V.Cols;
+  G.Data.resize(Count);
+  if (Count)
+    std::memcpy(G.Data.data(), V.Data, Count * sizeof(float));
+  return true;
 }
 
 TimingReport WaitResponse::report() const {
@@ -102,7 +128,15 @@ Expected<HelloResponse> net::decodeHelloResponse(const uint8_t *Data,
 //===--- Submit -----------------------------------------------------------===//
 
 std::vector<uint8_t> net::encode(const SubmitRequest &M) {
+  // The exact payload size, so the grids are appended into one
+  // allocation and never moved.
+  size_t Bytes =
+      1 + 4 + M.Source.size() + 8 + 3 * 4 + 4 + M.ResultName.size() + 4 + 2 * 8;
+  for (const SubmitRequest::BoundGrid &B : M.Grids)
+    Bytes += 1 + 4 + B.Grid.Name.size() + 2 * 4 + 4 +
+             B.Grid.Data.size() * sizeof(float) + 8;
   ByteWriter W;
+  W.reserve(Bytes);
   W.u8(M.Kind);
   W.str(M.Source);
   W.u64(M.Fingerprint);
@@ -115,18 +149,21 @@ std::vector<uint8_t> net::encode(const SubmitRequest &M) {
     W.u8(static_cast<uint8_t>(B.Kind));
     encodeGrid(W, B.Grid);
   }
-  // Version 2 trace context, always appended: a v2 payload decodes on
-  // both ends, and a v1 decoder never gets here (it rejects the frame
-  // header's version first).
   W.u64(M.TraceId);
   W.u64(M.ParentSpan);
+  assert(W.size() == Bytes && "SubmitRequest size formula out of date");
   return W.take();
 }
 
-Expected<SubmitRequest> net::decodeSubmitRequest(const uint8_t *Data,
+namespace {
+
+/// The submit decoder, for either grid form (decodeGrid is overloaded
+/// on it).
+template <typename GridT>
+Expected<BasicSubmitRequest<GridT>> decodeSubmit(const uint8_t *Data,
                                                  size_t Len) {
   ByteReader R(Data, Len);
-  SubmitRequest M;
+  BasicSubmitRequest<GridT> M;
   uint32_t NGrids = 0;
   bool Ok = R.u8(M.Kind) && R.str(M.Source) && R.u64(M.Fingerprint) &&
             R.u32(M.SubRows) && R.u32(M.SubCols) && R.u32(M.Iterations) &&
@@ -136,17 +173,27 @@ Expected<SubmitRequest> net::decodeSubmitRequest(const uint8_t *Data,
   if (!Ok || NGrids > R.remaining())
     return Error::failure("malformed SubmitRequest payload");
   for (uint32_t I = 0; I != NGrids; ++I) {
-    SubmitRequest::BoundGrid B;
+    typename BasicSubmitRequest<GridT>::BoundGrid B;
     uint8_t Role = 0;
     if (!R.u8(Role) || Role > 2 || !decodeGrid(R, B.Grid))
       return Error::failure("malformed SubmitRequest payload");
-    B.Kind = static_cast<SubmitRequest::Role>(Role);
+    B.Kind = static_cast<GridRole>(Role);
     M.Grids.push_back(std::move(B));
   }
-  // A version-1 payload ends here; version 2 appends the trace context.
-  if (R.remaining() != 0 && (!R.u64(M.TraceId) || !R.u64(M.ParentSpan)))
-    return Error::failure("malformed SubmitRequest payload");
+  R.u64(M.TraceId);
+  R.u64(M.ParentSpan);
   return finish(R, std::move(M), "SubmitRequest");
+}
+
+} // namespace
+
+Expected<SubmitView> net::decodeSubmitView(const uint8_t *Data, size_t Len) {
+  return decodeSubmit<GridView>(Data, Len);
+}
+
+Expected<SubmitRequest> net::decodeSubmitRequest(const uint8_t *Data,
+                                                 size_t Len) {
+  return decodeSubmit<GridPayload>(Data, Len);
 }
 
 std::vector<uint8_t> net::encode(const SubmitResponse &M) {
@@ -209,6 +256,13 @@ Expected<WaitRequest> net::decodeWaitRequest(const uint8_t *Data, size_t Len) {
 
 std::vector<uint8_t> net::encode(const WaitResponse &M) {
   ByteWriter W;
+  encodeWaitFields(W, M);
+  if (M.HasResult)
+    encodeGrid(W, M.Result);
+  return W.take();
+}
+
+void net::encodeWaitFields(ByteWriter &W, const WaitResponse &M) {
   W.u8(M.Ok);
   W.u8(M.Status);
   W.str(M.Message);
@@ -230,9 +284,6 @@ std::vector<uint8_t> net::encode(const WaitResponse &M) {
   W.u32(M.Nodes);
   W.f64(M.ClockMHz);
   W.u8(M.HasResult);
-  if (M.HasResult)
-    encodeGrid(W, M.Result);
-  return W.take();
 }
 
 Expected<WaitResponse> net::decodeWaitResponse(const uint8_t *Data,
@@ -308,9 +359,8 @@ Expected<StatsResponse> net::decodeStatsResponse(const uint8_t *Data,
   StatsResponse M;
   R.str(M.Json);
   R.str(M.Table);
-  // A version-1 response ends here; version 2 appends the net metrics.
-  if (R.remaining() != 0 && (!R.str(M.NetJson) || !R.str(M.NetTable)))
-    return Error::failure("malformed StatsResponse payload");
+  R.str(M.NetJson);
+  R.str(M.NetTable);
   return finish(R, std::move(M), "StatsResponse");
 }
 

@@ -18,6 +18,13 @@
 /// full TimingReport field by field, so a result reconstructed client
 /// side is bitwise identical to what an in-process wait() returns.
 ///
+/// Clients build and decode the owning forms (GridPayload). The server
+/// reads a submit in place (SubmitView: checksum-verified views into
+/// the received frame) and writes a result in place (encodeWaitFields
+/// then encodeGridInPlace into a ByteWriter::forFrame buffer), so each
+/// grid is copied once per hop. The bytes on the wire are the same
+/// either way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMCC_NET_PROTOCOL_H
@@ -26,6 +33,7 @@
 #include "net/Wire.h"
 #include "service/StencilService.h"
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,7 +41,8 @@ namespace cmcc {
 namespace net {
 
 /// One named global array on the wire (raw f32 data + fnv1a64Words
-/// checksum, via ByteWriter::floats).
+/// checksum, via ByteWriter::floats), owning its floats: the form
+/// clients build requests from and decode results into.
 struct GridPayload {
   std::string Name;
   uint32_t Rows = 0;
@@ -41,7 +50,29 @@ struct GridPayload {
   std::vector<float> Data; ///< Row-major, Rows*Cols elements.
 };
 
+/// A grid as it lies in a received payload, its checksum and shape
+/// already verified: Data points at Rows*Cols raw row-major floats
+/// inside the payload (any alignment). Valid only while that payload
+/// is; the server copies each row once, straight into subgrid storage.
+struct GridView {
+  std::string Name;
+  uint32_t Rows = 0;
+  uint32_t Cols = 0;
+  const uint8_t *Data = nullptr;
+};
+
 void encodeGrid(ByteWriter &W, const GridPayload &G);
+
+/// Appends the bytes encodeGrid writes for a Rows x Cols grid, with
+/// \p Fill(uint8_t *Dst) writing its floats straight into the payload.
+void encodeGridInPlace(ByteWriter &W, const std::string &Name, uint32_t Rows,
+                       uint32_t Cols,
+                       const std::function<void(uint8_t *)> &Fill);
+
+/// The grid decoder: name, shape and floats, checksum verified, and the
+/// shape must describe exactly the floats that arrived.
+bool decodeGrid(ByteReader &R, GridView &G);
+/// decodeGrid into owned storage: the view plus one copy.
 bool decodeGrid(ByteReader &R, GridPayload &G);
 
 //===--- Hello ------------------------------------------------------------===//
@@ -61,12 +92,17 @@ struct HelloResponse {
 
 //===--- Submit -----------------------------------------------------------===//
 
+/// Where a submitted grid binds on the server.
+enum class GridRole : uint8_t { Source = 0, Coefficient = 1, ExtraSource = 2 };
+
 /// A StencilService::JobRequest on the wire. Tenant travels in the
 /// frame header, not here. When Grids is empty the job is timing-only
 /// for SubRows x SubCols; otherwise Grids[0] is the source array and
 /// ResultName names the output, with coefficient / extra-source arrays
-/// following (Role tells the server where each one binds).
-struct SubmitRequest {
+/// following (Role tells the server where each one binds). \p GridT is
+/// GridPayload for a request a client builds or decodes, GridView for
+/// one the server reads in place (SubmitView).
+template <typename GridT> struct BasicSubmitRequest {
   uint8_t Kind = 0; ///< StencilService::SourceKind as its integer value.
   std::string Source;
   uint64_t Fingerprint = 0;
@@ -74,18 +110,21 @@ struct SubmitRequest {
   uint32_t SubCols = 64;
   uint32_t Iterations = 1;
   std::string ResultName; ///< Empty for timing-only jobs.
-  enum class Role : uint8_t { Source = 0, Coefficient = 1, ExtraSource = 2 };
+  using Role = GridRole;
   struct BoundGrid {
     Role Kind = Role::Source;
-    GridPayload Grid;
+    GridT Grid;
   };
   std::vector<BoundGrid> Grids;
-  /// Version 2: client-minted trace context, appended after the grids
-  /// so a version-1 payload (which simply ends there) still decodes.
+  /// Client-minted trace context, after the grids (added in version 2).
   /// Zero means "not traced".
   uint64_t TraceId = 0;
   uint64_t ParentSpan = 0;
 };
+
+using SubmitRequest = BasicSubmitRequest<GridPayload>;
+/// A received SubmitRequest whose grids are views into its payload.
+using SubmitView = BasicSubmitRequest<GridView>;
 
 struct SubmitResponse {
   int64_t JobId = 0;
@@ -158,9 +197,8 @@ struct StatsRequest {};
 struct StatsResponse {
   std::string Json;  ///< ServiceStats::json().
   std::string Table; ///< ServiceStats::str().
-  /// Version 2: the server's net.* wire metrics (request latency and
-  /// frame-size histograms), appended so a version-1 response still
-  /// decodes. Empty when the peer predates them.
+  /// The server's net.* wire metrics (request latency and frame-size
+  /// histograms; added in version 2).
   std::string NetJson;  ///< Registry::json("net.").
   std::string NetTable; ///< Registry::table("net.").
 };
@@ -207,7 +245,9 @@ constexpr uint16_t ErrInternal = 3;
 //===--- Codecs -----------------------------------------------------------===//
 // encode() returns the frame *payload* (pair with buildFrame); each
 // decode accepts raw payload bytes and fails cleanly on anything
-// malformed, truncated, or trailing-garbage.
+// malformed, truncated, or trailing-garbage. decodeSubmitView and
+// decodeSubmitRequest share one decoder; the owning form copies each
+// verified grid view once.
 
 std::vector<uint8_t> encode(const HelloRequest &M);
 std::vector<uint8_t> encode(const HelloResponse &M);
@@ -217,6 +257,10 @@ std::vector<uint8_t> encode(const PollRequest &M);
 std::vector<uint8_t> encode(const PollResponse &M);
 std::vector<uint8_t> encode(const WaitRequest &M);
 std::vector<uint8_t> encode(const WaitResponse &M);
+/// Every WaitResponse field ahead of the result grid (through
+/// HasResult): encode(WaitResponse) is this plus encodeGrid, and the
+/// server follows it with encodeGridInPlace.
+void encodeWaitFields(ByteWriter &W, const WaitResponse &M);
 std::vector<uint8_t> encode(const CancelRequest &M);
 std::vector<uint8_t> encode(const CancelResponse &M);
 std::vector<uint8_t> encode(const StatsRequest &M);
@@ -230,6 +274,7 @@ std::vector<uint8_t> encode(const DumpResponse &M);
 Expected<HelloRequest> decodeHelloRequest(const uint8_t *Data, size_t Len);
 Expected<HelloResponse> decodeHelloResponse(const uint8_t *Data, size_t Len);
 Expected<SubmitRequest> decodeSubmitRequest(const uint8_t *Data, size_t Len);
+Expected<SubmitView> decodeSubmitView(const uint8_t *Data, size_t Len);
 Expected<SubmitResponse> decodeSubmitResponse(const uint8_t *Data, size_t Len);
 Expected<PollRequest> decodePollRequest(const uint8_t *Data, size_t Len);
 Expected<PollResponse> decodePollResponse(const uint8_t *Data, size_t Len);

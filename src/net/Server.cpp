@@ -12,6 +12,7 @@
 #include "obs/TraceContext.h"
 #include "support/FaultInjection.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstdlib>
@@ -199,6 +200,10 @@ obs::Histogram &reqHistogram(MsgType T) {
 }
 
 using FR = obs::FlightRecorder;
+
+/// A connection's first read buffer, and the least it grows by: all a
+/// frame header can commit before its payload arrives.
+constexpr size_t ReadChunkBytes = 64 * 1024;
 
 } // namespace
 
@@ -398,6 +403,9 @@ void Server::loop() {
 
     // Publish counters: the deltas feed the process registry, the
     // totals feed counters() for tests and the serve tool.
+    Stats.ReadBufferBytes = 0;
+    for (const auto &[Id, C] : Conns)
+      Stats.ReadBufferBytes += static_cast<long>(C.In.size());
     CtrAccepted.add(Stats.Accepted - Mirrored.Accepted);
     CtrOverload.add(Stats.RejectedOverload - Mirrored.RejectedOverload);
     CtrDropped.add(Stats.DroppedFault - Mirrored.DroppedFault);
@@ -415,6 +423,7 @@ void Server::loop() {
     ::close(C.Fd);
   Conns.clear();
   Jobs.clear();
+  Stats.ReadBufferBytes = 0;
   {
     std::lock_guard<std::mutex> Lock(CountersMutex);
     PublishedStats = Stats;
@@ -461,12 +470,14 @@ bool Server::readConn(Conn &C) {
     ++Stats.DroppedFault;
     return false;
   }
-  char Buf[64 * 1024];
   while (true) {
-    const ssize_t N = ::read(C.Fd, Buf, sizeof(Buf));
+    if (C.InEnd == C.In.size() && !makeRoom(C))
+      return true;
+    const size_t Room = C.In.size() - C.InEnd;
+    const ssize_t N = ::read(C.Fd, C.In.data() + C.InEnd, Room);
     if (N > 0) {
-      C.In.insert(C.In.end(), Buf, Buf + N);
-      if (N < static_cast<ssize_t>(sizeof(Buf)))
+      C.InEnd += static_cast<size_t>(N);
+      if (static_cast<size_t>(N) < Room)
         return true;
       continue;
     }
@@ -474,6 +485,33 @@ bool Server::readConn(Conn &C) {
       return false; // Peer closed.
     return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
   }
+}
+
+bool Server::makeRoom(Conn &C) {
+  if (C.InPos) {
+    // Only a partial frame is left (parseFrames consumed the whole
+    // ones), so this moves less than one frame, once per refill.
+    std::memmove(C.In.data(), C.In.data() + C.InPos, C.InEnd - C.InPos);
+    C.InEnd -= C.InPos;
+    C.InPos = 0;
+    if (C.InEnd != C.In.size())
+      return true;
+  }
+  size_t Want = std::max(2 * C.In.size(), ReadChunkBytes);
+  if (C.InEnd >= FrameHeaderBytes) {
+    // Grow towards the end of the frame, never past it: the length is
+    // trusted only after the header checksum, and even then committed
+    // only as fast as bytes arrive to fill it.
+    Expected<FrameHeader> H = decodeFrameHeader(C.In.data(), C.InEnd);
+    if (!H)
+      return false;
+    const size_t FrameEnd = FrameHeaderBytes + H->PayloadBytes;
+    if (FrameEnd <= C.InEnd)
+      return false;
+    Want = std::min(Want, FrameEnd);
+  }
+  C.In.resize(Want);
+  return true;
 }
 
 bool Server::writeConn(Conn &C) {
@@ -529,10 +567,12 @@ void Server::discardJob(StencilService::JobId Id) {
 //===----------------------------------------------------------------------===//
 
 bool Server::parseFrames(Conn &C) {
-  size_t Pos = 0;
-  while (C.In.size() - Pos >= FrameHeaderBytes) {
-    Expected<FrameHeader> H =
-        decodeFrameHeader(C.In.data() + Pos, C.In.size() - Pos);
+  // Payload pointers handed to dispatch() point into C.In; nothing
+  // below resizes it, and no view outlives this loop.
+  while (C.InEnd - C.InPos >= FrameHeaderBytes) {
+    const uint8_t *Frame = C.In.data() + C.InPos;
+    const size_t Avail = C.InEnd - C.InPos;
+    Expected<FrameHeader> H = decodeFrameHeader(Frame, Avail);
     if (!H) {
       // Broken framing: there is no way to find the next frame
       // boundary, so answer once and close.
@@ -544,16 +584,16 @@ bool Server::parseFrames(Conn &C) {
       C.Closing = true;
       break;
     }
-    if (C.In.size() - Pos < FrameHeaderBytes + H->PayloadBytes)
+    if (Avail < FrameHeaderBytes + H->PayloadBytes)
       break; // Frame incomplete; wait for more bytes.
     ++Stats.FramesIn;
     frameBytesIn().observe(
         static_cast<double>(FrameHeaderBytes + H->PayloadBytes));
-    dispatch(C, *H, C.In.data() + Pos + FrameHeaderBytes);
-    Pos += FrameHeaderBytes + H->PayloadBytes;
+    dispatch(C, *H, Frame + FrameHeaderBytes);
+    C.InPos += FrameHeaderBytes + H->PayloadBytes;
   }
-  if (Pos)
-    C.In.erase(C.In.begin(), C.In.begin() + static_cast<long>(Pos));
+  if (C.InPos == C.InEnd)
+    C.InPos = C.InEnd = 0;
   // Flush eagerly: most responses fit the socket buffer, and waiting
   // for the next poll() round-trip would add latency for nothing.
   return writeConn(C);
@@ -561,8 +601,12 @@ bool Server::parseFrames(Conn &C) {
 
 void Server::send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
                   const std::vector<uint8_t> &Payload) {
-  C.Out.push_back(buildFrame(Type, RequestId, Tenant, Payload));
-  frameBytesOut().observe(static_cast<double>(C.Out.back().size()));
+  queueFrame(C, buildFrame(Type, RequestId, Tenant, Payload));
+}
+
+void Server::queueFrame(Conn &C, std::vector<uint8_t> Frame) {
+  frameBytesOut().observe(static_cast<double>(Frame.size()));
+  C.Out.push_back(std::move(Frame));
   ++Stats.FramesOut;
 }
 
@@ -678,7 +722,9 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
 
 void Server::handleSubmit(Conn &C, const FrameHeader &H,
                           const uint8_t *Payload) {
-  Expected<SubmitRequest> M = decodeSubmitRequest(Payload, H.PayloadBytes);
+  // Grids stay in the read buffer: the decode verifies them in place
+  // and scatterFrom below is their one copy.
+  Expected<SubmitView> M = decodeSubmitView(Payload, H.PayloadBytes);
   if (!M)
     return sendError(C, H, ErrBadRequest, M.error().message());
   if (Draining.load(std::memory_order_acquire))
@@ -718,15 +764,15 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
     Req.SubRows = static_cast<int>(M->SubRows);
     Req.SubCols = static_cast<int>(M->SubCols);
   } else {
-    if (M->Grids[0].Kind != SubmitRequest::Role::Source)
+    if (M->Grids[0].Kind != GridRole::Source)
       return sendError(C, H, ErrBadRequest,
                        "the first grid must be the source array");
     J.WantResult = true;
     J.Args = std::make_unique<StencilArguments>();
     int SubRows = 0, SubCols = 0;
     for (size_t I = 0; I != M->Grids.size(); ++I) {
-      const SubmitRequest::BoundGrid &B = M->Grids[I];
-      const GridPayload &G = B.Grid;
+      const SubmitView::BoundGrid &B = M->Grids[I];
+      const GridView &G = B.Grid;
       if (G.Rows == 0 || G.Cols == 0 ||
           G.Rows % static_cast<uint32_t>(Grid.rows()) != 0 ||
           G.Cols % static_cast<uint32_t>(Grid.cols()) != 0)
@@ -736,25 +782,22 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
                              ") does not decompose over the " +
                              std::to_string(Grid.rows()) + "x" +
                              std::to_string(Grid.cols()) + " node grid");
-      Array2D Global(static_cast<int>(G.Rows), static_cast<int>(G.Cols));
-      std::memcpy(Global.data(), G.Data.data(),
-                  G.Data.size() * sizeof(float));
       auto A = std::make_unique<DistributedArray>(
           Grid, static_cast<int>(G.Rows) / Grid.rows(),
           static_cast<int>(G.Cols) / Grid.cols());
-      A->scatter(Global);
+      A->scatterFrom(G.Data);
       switch (B.Kind) {
-      case SubmitRequest::Role::Source:
+      case GridRole::Source:
         if (J.Args->Source)
           return sendError(C, H, ErrBadRequest, "duplicate source grid");
         J.Args->Source = A.get();
         SubRows = A->subRows();
         SubCols = A->subCols();
         break;
-      case SubmitRequest::Role::Coefficient:
+      case GridRole::Coefficient:
         J.Args->Coefficients[G.Name] = A.get();
         break;
-      case SubmitRequest::Role::ExtraSource:
+      case GridRole::ExtraSource:
         J.Args->ExtraSources[G.Name] = A.get();
         break;
       }
@@ -829,17 +872,24 @@ void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
   R.Retries = static_cast<uint32_t>(Res.Retries);
   R.FellBack = Res.FellBack ? 1 : 0;
   R.setReport(Res.Report);
-  if (Res.Ok && J.WantResult && J.Args && J.Args->Result) {
-    const Array2D Global = J.Args->Result->gather();
-    R.HasResult = 1;
-    R.Result.Name = J.ResultName;
-    R.Result.Rows = static_cast<uint32_t>(Global.rows());
-    R.Result.Cols = static_cast<uint32_t>(Global.cols());
-    R.Result.Data.assign(Global.data(),
-                         Global.data() + static_cast<size_t>(Global.rows()) *
-                                             Global.cols());
-  }
-  send(C, MsgType::WaitResponse, RequestId, J.Tenant, encode(R));
+  const DistributedArray *Result =
+      Res.Ok && J.WantResult && J.Args ? J.Args->Result : nullptr;
+  R.HasResult = Result ? 1 : 0;
+  const uint32_t Rows =
+      Result ? static_cast<uint32_t>(Result->globalRows()) : 0;
+  const uint32_t Cols =
+      Result ? static_cast<uint32_t>(Result->globalCols()) : 0;
+  // One buffer, header slot first: the result is gathered straight into
+  // its place in the frame. 256 bytes cover the fixed fields and the
+  // grid's count, shape and checksum.
+  ByteWriter W = ByteWriter::forFrame(
+      256 + R.Message.size() + J.ResultName.size() +
+      static_cast<size_t>(Rows) * Cols * sizeof(float));
+  encodeWaitFields(W, R);
+  if (Result)
+    encodeGridInPlace(W, J.ResultName, Rows, Cols,
+                      [Result](uint8_t *Dst) { Result->gatherInto(Dst); });
+  queueFrame(C, W.takeFrame(MsgType::WaitResponse, RequestId, J.Tenant));
   if (J.WaiterArrivedNs)
     reqHistogram(MsgType::WaitRequest)
         .observe(static_cast<double>(obs::detail::nowNs() -

@@ -13,12 +13,20 @@
 /// thread-per-connection, no thread-per-job, no blocking call anywhere
 /// on the loop.
 ///
-/// Per connection the server keeps a read buffer (frames are parsed as
-/// bytes arrive; a frame split across a thousand 1-byte reads works)
-/// and a write queue (responses flush as the socket drains). Requests
-/// on one connection are independent: a client may pipeline many
-/// submits and waits and receive the responses as each job finishes,
-/// correlated by the request id it chose.
+/// Per connection the server keeps a read buffer and a write queue
+/// (responses flush as the socket drains). Reads land straight in the
+/// read buffer; frames are parsed as bytes arrive (a frame split across
+/// a thousand 1-byte reads works) and consumed by advancing an offset.
+/// The buffer grows geometrically, only when full: by doubling (at
+/// least to 64 KiB), but never past the end of the frame whose header
+/// it holds. So a header alone commits at most 64 KiB, and the buffer
+/// never exceeds twice the bytes that actually arrived; once grown it
+/// is reused for the connection's later frames. A submit's grids are
+/// verified in place and their rows copied straight from the read
+/// buffer into subgrid storage; a result is gathered straight into the
+/// frame it is sent in. Requests on one connection are independent: a
+/// client may pipeline many submits and waits and receive the responses
+/// as each job finishes, correlated by the request id it chose.
 ///
 /// Admission is bounded at two layers: the server caps concurrent
 /// connections (excess accepts are closed immediately, counted), and
@@ -94,6 +102,9 @@ public:
     long FramesOut = 0;
     long DecodeErrors = 0;     ///< Malformed payloads answered ErrBadRequest.
     long ProtocolErrors = 0;   ///< Broken framing: connection closed.
+    /// Not a total: the bytes the live connections' read buffers hold
+    /// now (committed, not just filled).
+    long ReadBufferBytes = 0;
   };
 
   Server(StencilService &Service, Options Opts);
@@ -130,8 +141,13 @@ private:
 
   void loop();
   void acceptAll(int ListenFd);
-  /// Reads until EAGAIN; false = drop the connection.
+  /// Reads until EAGAIN, or until the read buffer holds a whole frame it
+  /// cannot grow past; false = drop the connection.
   bool readConn(Conn &C);
+  /// Makes room at the end of C's read buffer: moves the unparsed tail
+  /// to the front, else grows the buffer. False when the buffer is full
+  /// of one whole frame (or a broken header): parse before reading on.
+  bool makeRoom(Conn &C);
   /// Writes queued bytes until EAGAIN; false = drop the connection.
   bool writeConn(Conn &C);
   /// Parses and dispatches every complete frame in C's read buffer.
@@ -143,9 +159,12 @@ private:
   /// Queues one encoded response frame on \p C.
   void send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
             const std::vector<uint8_t> &Payload);
+  /// Queues a complete frame (header included) on \p C.
+  void queueFrame(Conn &C, std::vector<uint8_t> Frame);
   void sendError(Conn &C, const FrameHeader &H, uint16_t Code,
                  const std::string &Message);
-  /// Builds the WaitResponse for a finished job and queues it.
+  /// Builds the WaitResponse frame for a finished job, the result grid
+  /// gathered straight into it, and queues it.
   void deliverResult(Conn &C, JobRec &J, uint64_t RequestId);
   /// Drains the finished-job queue fed by the service callback.
   void processFinished();
@@ -165,7 +184,11 @@ private:
   struct Conn {
     uint64_t Id = 0;
     int Fd = -1;
+    /// Read buffer: bytes [InPos, InEnd) are received and unparsed; its
+    /// size is the committed room, grown only by makeRoom().
     std::vector<uint8_t> In;
+    size_t InPos = 0;
+    size_t InEnd = 0;
     std::deque<std::vector<uint8_t>> Out;
     size_t OutPos = 0; ///< Bytes of Out.front() already written.
     bool Closing = false; ///< Close once Out flushes.

@@ -6,6 +6,7 @@
 
 #include "net/Wire.h"
 #include "support/Hash.h"
+#include <cassert>
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -124,6 +125,26 @@ Expected<FrameHeader> net::decodeFrameHeader(const uint8_t *Data, size_t Len) {
   return H;
 }
 
+ByteWriter ByteWriter::forFrame(size_t PayloadBytes) {
+  ByteWriter W;
+  W.Buf.reserve(FrameHeaderBytes + PayloadBytes);
+  W.Buf.resize(FrameHeaderBytes);
+  W.Framed = true;
+  return W;
+}
+
+std::vector<uint8_t> ByteWriter::takeFrame(MsgType Type, uint64_t RequestId,
+                                           uint32_t Tenant) {
+  assert(Framed && "takeFrame() on a writer not made by forFrame()");
+  FrameHeader H;
+  H.Type = Type;
+  H.Tenant = Tenant;
+  H.RequestId = RequestId;
+  H.PayloadBytes = static_cast<uint32_t>(Buf.size() - FrameHeaderBytes);
+  encodeFrameHeader(H, Buf.data());
+  return std::move(Buf);
+}
+
 void ByteWriter::str(const std::string &S) {
   u32(static_cast<uint32_t>(S.size()));
   Buf.insert(Buf.end(), S.begin(), S.end());
@@ -131,11 +152,14 @@ void ByteWriter::str(const std::string &S) {
 
 void ByteWriter::floats(const float *Data, size_t Count) {
   u32(static_cast<uint32_t>(Count));
-  const size_t Bytes = Count * sizeof(float);
   const size_t At = Buf.size();
-  Buf.resize(At + Bytes);
-  if (Bytes)
-    std::memcpy(Buf.data() + At, Data, Bytes);
+  const size_t Bytes = Count * sizeof(float);
+  const uint8_t *Src = reinterpret_cast<const uint8_t *>(Data);
+  Buf.insert(Buf.end(), Src, Src + Bytes);
+  sealFloats(At, Bytes);
+}
+
+void ByteWriter::sealFloats(size_t At, size_t Bytes) {
   u64(fnv1a64Words(Buf.data() + At, Bytes));
 }
 
@@ -152,22 +176,21 @@ bool ByteReader::str(std::string &S, size_t MaxLen) {
   return true;
 }
 
-bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
+bool ByteReader::floats(const uint8_t *&Bytes, uint32_t &Count,
+                        size_t MaxCount) {
   uint32_t N;
   if (!u32(N))
     return false;
-  const size_t Bytes = static_cast<size_t>(N) * sizeof(float);
+  const size_t Len = static_cast<size_t>(N) * sizeof(float);
   // Validate the count against bytes actually present (plus the trailing
-  // checksum) before the allocation.
-  if (N > MaxCount || remaining() < Bytes + sizeof(uint64_t)) {
+  // checksum) before anything trusts it.
+  if (N > MaxCount || remaining() < Len + sizeof(uint64_t)) {
     Failed = true;
     return false;
   }
-  const uint64_t Want = fnv1a64Words(Data + Pos, Bytes);
-  V.resize(N);
-  if (Bytes)
-    std::memcpy(V.data(), Data + Pos, Bytes);
-  Pos += Bytes;
+  const uint8_t *At = Data + Pos;
+  const uint64_t Want = fnv1a64Words(At, Len);
+  Pos += Len;
   uint64_t Got;
   if (!u64(Got))
     return false;
@@ -175,6 +198,8 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
     Failed = true;
     return false;
   }
+  Bytes = At;
+  Count = N;
   return true;
 }
 

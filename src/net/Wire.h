@@ -13,6 +13,14 @@
 /// never a crash, never a read past the buffer, never an allocation
 /// sized by an unvalidated length field.
 ///
+/// Float arrays are the bulk of the traffic, so both halves move them
+/// with one copy: ByteReader::floats verifies the checksum and hands
+/// back a view into the payload (the caller copies the floats once, to
+/// wherever they live next), and ByteWriter appends them straight from
+/// the source, or lets the caller write them in place (floatsInPlace).
+/// ByteWriter::forFrame reserves the frame header in front of the
+/// payload, so a large response is built in the buffer it is sent from.
+///
 /// Frame layout (28 bytes, little-endian, followed by PayloadBytes of
 /// payload):
 ///
@@ -131,9 +139,17 @@ void encodeFrameHeader(const FrameHeader &H, uint8_t *Out);
 Expected<FrameHeader> decodeFrameHeader(const uint8_t *Data, size_t Len);
 
 /// Little-endian payload builder. Append-only; take() surrenders the
-/// buffer.
+/// payload, takeFrame() the whole frame of a forFrame() writer.
 class ByteWriter {
 public:
+  /// A writer whose buffer opens with FrameHeaderBytes of room for the
+  /// header, which takeFrame() fills in: the payload is written once,
+  /// in the buffer that goes to the socket. \p PayloadBytes is reserved.
+  static ByteWriter forFrame(size_t PayloadBytes = 0);
+
+  /// Reserves room for \p Bytes more bytes.
+  void reserve(size_t Bytes) { Buf.reserve(Buf.size() + Bytes); }
+
   void u8(uint8_t V) { Buf.push_back(V); }
   void u16(uint16_t V) { appendLe(V); }
   void u32(uint32_t V) { appendLe(V); }
@@ -149,18 +165,42 @@ public:
   void str(const std::string &S);
 
   /// u32 element count, raw IEEE-754 floats, then the fnv1a64Words
-  /// checksum of those float bytes.
+  /// checksum of those float bytes. The floats are appended straight
+  /// from \p Data, with no zero-fill first.
   void floats(const float *Data, size_t Count);
+
+  /// The same bytes as floats(), for data that is not one contiguous
+  /// array at the source: \p Fill(uint8_t *Dst) writes the Count floats
+  /// (Count * 4 bytes, any alignment) straight into the buffer, which is
+  /// then checksummed in place. (std::vector cannot grow uninitialised,
+  /// so the slot is zeroed once before Fill writes it.)
+  template <typename FillFn> void floatsInPlace(size_t Count, FillFn &&Fill) {
+    u32(static_cast<uint32_t>(Count));
+    const size_t At = Buf.size();
+    const size_t Bytes = Count * sizeof(float);
+    Buf.resize(At + Bytes);
+    Fill(Buf.data() + At);
+    sealFloats(At, Bytes);
+  }
 
   size_t size() const { return Buf.size(); }
   std::vector<uint8_t> take() { return std::move(Buf); }
+
+  /// Fills in the header reserved by forFrame() (its payload length is
+  /// everything written since) and surrenders the frame.
+  std::vector<uint8_t> takeFrame(MsgType Type, uint64_t RequestId,
+                                 uint32_t Tenant);
 
 private:
   template <typename T> void appendLe(T V) {
     for (size_t I = 0; I != sizeof(T); ++I)
       Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
+  /// Appends the checksum of the Bytes float bytes at offset At.
+  void sealFloats(size_t At, size_t Bytes);
+
   std::vector<uint8_t> Buf;
+  bool Framed = false; ///< Buf opens with a header slot (forFrame()).
 };
 
 /// Bounds-checked little-endian payload reader. Every accessor returns
@@ -195,8 +235,11 @@ public:
   bool str(std::string &S, size_t MaxLen = 1u << 20);
 
   /// Reads a float array written by ByteWriter::floats and verifies its
-  /// checksum (a checksum mismatch is a failed read).
-  bool floats(std::vector<float> &V, size_t MaxCount = 1u << 24);
+  /// checksum (a checksum mismatch is a failed read). Nothing is copied:
+  /// \p Bytes points at the Count raw floats inside the payload (any
+  /// alignment), valid only as long as the payload is.
+  bool floats(const uint8_t *&Bytes, uint32_t &Count,
+              size_t MaxCount = 1u << 24);
 
   /// True while no read has failed.
   bool ok() const { return !Failed; }
@@ -228,7 +271,8 @@ private:
 };
 
 /// Builds one complete frame (header + payload) ready to write to a
-/// socket.
+/// socket. Copies the payload; large frames are built in place with
+/// ByteWriter::forFrame instead.
 std::vector<uint8_t> buildFrame(MsgType Type, uint64_t RequestId,
                                 uint32_t Tenant,
                                 const std::vector<uint8_t> &Payload);

@@ -6,6 +6,7 @@
 
 #include "runtime/DistributedArray.h"
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace cmcc;
@@ -30,25 +31,34 @@ const Array2D &DistributedArray::subgrid(NodeCoord C) const {
 void DistributedArray::scatter(const Array2D &Global) {
   assert(Global.rows() == globalRows() && Global.cols() == globalCols() &&
          "global shape mismatch");
-  for (int NR = 0; NR != Grid.rows(); ++NR)
-    for (int NC = 0; NC != Grid.cols(); ++NC) {
-      Array2D &Sub = subgrid({NR, NC});
-      for (int R = 0; R != SubRows; ++R)
-        for (int C = 0; C != SubCols; ++C)
-          Sub.at(R, C) = Global.at(NR * SubRows + R, NC * SubCols + C);
-    }
+  scatterFrom(Global.data());
 }
 
 Array2D DistributedArray::gather() const {
   Array2D Global(globalRows(), globalCols());
-  for (int NR = 0; NR != Grid.rows(); ++NR)
-    for (int NC = 0; NC != Grid.cols(); ++NC) {
-      const Array2D &Sub = subgrid({NR, NC});
-      for (int R = 0; R != SubRows; ++R)
-        for (int C = 0; C != SubCols; ++C)
-          Global.at(NR * SubRows + R, NC * SubCols + C) = Sub.at(R, C);
-    }
+  gatherInto(Global.data());
   return Global;
+}
+
+void DistributedArray::scatterFrom(const void *Global) {
+  const auto *Src = static_cast<const unsigned char *>(Global);
+  const size_t RowBytes = static_cast<size_t>(SubCols) * sizeof(float);
+  for (int GR = 0; GR != globalRows(); ++GR)
+    for (int NC = 0; NC != Grid.cols(); ++NC, Src += RowBytes)
+      std::memcpy(subgrid({GR / SubRows, NC}).data() +
+                      static_cast<size_t>(GR % SubRows) * SubCols,
+                  Src, RowBytes);
+}
+
+void DistributedArray::gatherInto(void *Global) const {
+  auto *Dst = static_cast<unsigned char *>(Global);
+  const size_t RowBytes = static_cast<size_t>(SubCols) * sizeof(float);
+  for (int GR = 0; GR != globalRows(); ++GR)
+    for (int NC = 0; NC != Grid.cols(); ++NC, Dst += RowBytes)
+      std::memcpy(Dst,
+                  subgrid({GR / SubRows, NC}).data() +
+                      static_cast<size_t>(GR % SubRows) * SubCols,
+                  RowBytes);
 }
 
 float DistributedArray::atGlobal(int R, int C) const {

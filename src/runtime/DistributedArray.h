@@ -49,6 +49,15 @@ public:
   /// Gathers the subgrids back into one global array.
   Array2D gather() const;
 
+  /// scatter() from globalRows() x globalCols() row-major floats at
+  /// \p Global, which may have any alignment (a grid inside a received
+  /// frame): one memcpy per subgrid row, the bits unchanged.
+  void scatterFrom(const void *Global);
+
+  /// gather() into globalRows() x globalCols() row-major floats at
+  /// \p Global (any alignment), one memcpy per subgrid row.
+  void gatherInto(void *Global) const;
+
   /// Global element access (for tests).
   float atGlobal(int R, int C) const;
 

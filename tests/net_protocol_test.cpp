@@ -131,6 +131,7 @@ const AnyDecoder AllDecoders[] = {
     [](const uint8_t *D, size_t N) { return !!decodeHelloRequest(D, N); },
     [](const uint8_t *D, size_t N) { return !!decodeHelloResponse(D, N); },
     [](const uint8_t *D, size_t N) { return !!decodeSubmitRequest(D, N); },
+    [](const uint8_t *D, size_t N) { return !!decodeSubmitView(D, N); },
     [](const uint8_t *D, size_t N) { return !!decodeSubmitResponse(D, N); },
     [](const uint8_t *D, size_t N) { return !!decodePollRequest(D, N); },
     [](const uint8_t *D, size_t N) { return !!decodePollResponse(D, N); },
@@ -308,6 +309,54 @@ TEST(NetProtocolTest, SubmitRoundTripKeepsGridsBitwise) {
   }
 }
 
+TEST(NetProtocolTest, SubmitViewPointsIntoThePayloadBitwise) {
+  // The server's form: the same decode, but each grid is a view into
+  // the payload bytes, not a copy.
+  const SubmitRequest M = sampleSubmitRequest();
+  const std::vector<uint8_t> B = encode(M);
+  Expected<SubmitView> V = decodeSubmitView(B.data(), B.size());
+  ASSERT_TRUE(V);
+  EXPECT_EQ(V->Source, M.Source);
+  EXPECT_EQ(V->ResultName, M.ResultName);
+  ASSERT_EQ(V->Grids.size(), M.Grids.size());
+  for (size_t I = 0; I != M.Grids.size(); ++I) {
+    const GridView &G = V->Grids[I].Grid;
+    const GridPayload &Want = M.Grids[I].Grid;
+    EXPECT_EQ(V->Grids[I].Kind, M.Grids[I].Kind);
+    EXPECT_EQ(G.Name, Want.Name);
+    ASSERT_EQ(G.Rows, Want.Rows);
+    ASSERT_EQ(G.Cols, Want.Cols);
+    const size_t Bytes = Want.Data.size() * sizeof(float);
+    EXPECT_GE(G.Data, B.data());
+    EXPECT_LE(G.Data + Bytes, B.data() + B.size());
+    EXPECT_EQ(std::memcmp(G.Data, Want.Data.data(), Bytes), 0);
+  }
+}
+
+TEST(NetProtocolTest, EncodeReservesTheExactSubmitSize) {
+  const std::vector<uint8_t> B = encode(sampleSubmitRequest());
+  EXPECT_EQ(B.capacity(), B.size());
+}
+
+TEST(NetProtocolTest, InPlaceWaitFrameMatchesBuildFrameBytes) {
+  // The server writes a result frame in place: header slot, fields, then
+  // the grid filled by a callback. The bytes must be exactly what
+  // buildFrame(encode()) gives for the same response.
+  const WaitResponse M = sampleWaitResponse();
+  ByteWriter W = ByteWriter::forFrame();
+  encodeWaitFields(W, M);
+  encodeGridInPlace(W, M.Result.Name, M.Result.Rows, M.Result.Cols,
+                    [&](uint8_t *Dst) {
+                      std::memcpy(Dst, M.Result.Data.data(),
+                                  M.Result.Data.size() * sizeof(float));
+                    });
+  const std::vector<uint8_t> InPlace =
+      W.takeFrame(MsgType::WaitResponse, /*RequestId=*/9, /*Tenant=*/4);
+  EXPECT_EQ(InPlace,
+            buildFrame(MsgType::WaitResponse, /*RequestId=*/9, /*Tenant=*/4,
+                       encode(M)));
+}
+
 TEST(NetProtocolTest, WaitResponseRoundTripKeepsTimingExact) {
   const WaitResponse M = sampleWaitResponse();
   std::vector<uint8_t> B = encode(M);
@@ -393,35 +442,30 @@ TEST(NetProtocolTest, SmallMessagesRoundTrip) {
 
 TEST(NetProtocolTest, EveryTruncationPrefixFailsCleanly) {
   // Chop every valid payload at every length short of full: each prefix
-  // must decode to a clean error (a prefix of a valid message is never
-  // itself valid — every codec ends with an exhaustion check, so this
-  // also proves no decoder quietly ignores missing tail fields). The
-  // one deliberate exception: messages with a version-2 appended tail
-  // (SubmitRequest's trace context, StatsResponse's net metrics) decode
-  // at exactly the version-1 boundary — that is the compatibility
-  // contract, asserted separately below.
+  // must decode to a clean error. A prefix of a valid message is never
+  // itself valid: every field is mandatory (the frame header refuses the
+  // v1/v2 peers whose payloads ended early) and every codec ends with an
+  // exhaustion check, so no decoder quietly ignores missing tail fields.
   struct Case {
     std::vector<uint8_t> Bytes;
     AnyDecoder Decode;
-    size_t V1Boundary; // Prefix length that is a valid v1 payload.
   };
-  const size_t None = static_cast<size_t>(-1);
-  const std::vector<uint8_t> Submit = encode(sampleSubmitRequest());
-  const std::vector<uint8_t> Stats = encode(sampleStatsResponse());
+  StatsResponse Stats = sampleStatsResponse();
+  Stats.NetJson = "{}";
+  Stats.NetTable = "net\n";
   const Case Cases[] = {
-      {encode(sampleHelloRequest()), AllDecoders[0], None},
-      {encode(sampleHelloResponse()), AllDecoders[1], None},
-      {Submit, AllDecoders[2], Submit.size() - 16},
-      {encode(sampleWaitResponse()), AllDecoders[7], None},
-      {Stats, AllDecoders[11], Stats.size() - 8},
-      {encode(sampleErrorResponse()), AllDecoders[12], None},
+      {encode(sampleHelloRequest()), AllDecoders[0]},
+      {encode(sampleHelloResponse()), AllDecoders[1]},
+      {encode(sampleSubmitRequest()), AllDecoders[2]},
+      {encode(sampleSubmitRequest()), AllDecoders[3]},
+      {encode(sampleWaitResponse()), AllDecoders[8]},
+      {encode(sampleStatsResponse()), AllDecoders[12]},
+      {encode(Stats), AllDecoders[12]},
+      {encode(sampleErrorResponse()), AllDecoders[13]},
   };
   for (const Case &C : Cases)
-    for (size_t Len = 0; Len != C.Bytes.size(); ++Len) {
-      if (Len == C.V1Boundary)
-        continue;
+    for (size_t Len = 0; Len != C.Bytes.size(); ++Len)
       EXPECT_FALSE(C.Decode(C.Bytes.data(), Len)) << "prefix " << Len;
-    }
 }
 
 TEST(NetProtocolTest, SubmitRoundTripCarriesTraceContext) {
@@ -435,43 +479,17 @@ TEST(NetProtocolTest, SubmitRoundTripCarriesTraceContext) {
   EXPECT_EQ(Back->ParentSpan, M.ParentSpan);
 }
 
-TEST(NetProtocolTest, SubmitDecodesAVersionOnePayload) {
-  // A v1 peer's payload simply ends after the grids. Stripping the
-  // 16-byte trace tail reproduces one exactly; it must decode with the
-  // context zeroed and everything else intact.
-  SubmitRequest M = sampleSubmitRequest();
-  M.TraceId = 0x1111111111111111ull;
-  M.ParentSpan = 0x2222222222222222ull;
-  std::vector<uint8_t> B = encode(M);
-  B.resize(B.size() - 16);
-  Expected<SubmitRequest> Back = decodeSubmitRequest(B.data(), B.size());
-  ASSERT_TRUE(Back);
-  EXPECT_EQ(Back->TraceId, 0u);
-  EXPECT_EQ(Back->ParentSpan, 0u);
-  EXPECT_EQ(Back->Source, M.Source);
-  EXPECT_EQ(Back->Grids.size(), M.Grids.size());
-}
-
-TEST(NetProtocolTest, StatsResponseCarriesNetMetricsAndDecodesV1) {
+TEST(NetProtocolTest, StatsResponseCarriesNetMetrics) {
   StatsResponse M = sampleStatsResponse();
   M.NetJson = "{\"net.req_us.submit\": {\"count\": 4}}";
   M.NetTable = "net.req_us.submit  p50 12us\n";
   std::vector<uint8_t> B = encode(M);
   Expected<StatsResponse> Back = decodeStatsResponse(B.data(), B.size());
   ASSERT_TRUE(Back);
+  EXPECT_EQ(Back->Json, M.Json);
+  EXPECT_EQ(Back->Table, M.Table);
   EXPECT_EQ(Back->NetJson, M.NetJson);
   EXPECT_EQ(Back->NetTable, M.NetTable);
-
-  // The v1 payload ends after Table; the net fields come back empty.
-  StatsResponse Old = sampleStatsResponse();
-  std::vector<uint8_t> B1 = encode(Old);
-  B1.resize(B1.size() - 8); // Two empty trailing strings.
-  Expected<StatsResponse> BackOld = decodeStatsResponse(B1.data(), B1.size());
-  ASSERT_TRUE(BackOld);
-  EXPECT_EQ(BackOld->Json, Old.Json);
-  EXPECT_EQ(BackOld->Table, Old.Table);
-  EXPECT_TRUE(BackOld->NetJson.empty());
-  EXPECT_TRUE(BackOld->NetTable.empty());
 }
 
 TEST(NetProtocolTest, TimelineAndDumpRoundTrip) {

@@ -20,6 +20,8 @@
 #include "obs/Metrics.h"
 #include "service/StencilService.h"
 #include "support/FaultInjection.h"
+#include "support/Random.h"
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -155,6 +157,79 @@ Array2D dataJobInProcess(const MachineConfig &M, int Sub, uint64_t Seed,
   StencilService::JobResult R = Service.wait(Service.submit(Req));
   EXPECT_TRUE(R.Ok) << R.Message;
   return Result.gather();
+}
+
+/// A raw unix-socket connection to \p H's server, for tests that need
+/// control of the bytes on the wire (the Client writes whole frames).
+int rawConnect(const Harness &H) {
+  const int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, H.Ep.Path.c_str(), sizeof(Addr.sun_path) - 1);
+  EXPECT_EQ(
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+  return Fd;
+}
+
+bool writeAll(int Fd, const uint8_t *Data, size_t Len) {
+  while (Len) {
+    const ssize_t N = ::send(Fd, Data, Len, MSG_NOSIGNAL);
+    if (N <= 0)
+      return false;
+    Data += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+bool readAll(int Fd, uint8_t *Data, size_t Len) {
+  while (Len) {
+    const ssize_t N = ::read(Fd, Data, Len);
+    if (N <= 0)
+      return false;
+    Data += N;
+    Len -= static_cast<size_t>(N);
+  }
+  return true;
+}
+
+/// Reads one whole response frame off a raw connection.
+bool readFrame(int Fd, net::FrameHeader &Hdr, std::vector<uint8_t> &Payload) {
+  uint8_t Head[net::FrameHeaderBytes];
+  if (!readAll(Fd, Head, sizeof(Head)))
+    return false;
+  Expected<net::FrameHeader> H = decodeFrameHeader(Head, sizeof(Head));
+  if (!H)
+    return false;
+  Hdr = *H;
+  Payload.resize(H->PayloadBytes);
+  return readAll(Fd, Payload.data(), Payload.size());
+}
+
+/// Waits on a raw connection for the job \p JobId and returns its
+/// result grid (empty on any failure, with the reason recorded).
+std::vector<float> waitRaw(int Fd, int64_t JobId, uint64_t RequestId) {
+  net::WaitRequest W;
+  W.JobId = JobId;
+  const std::vector<uint8_t> Frame =
+      net::buildFrame(net::MsgType::WaitRequest, RequestId, 0, encode(W));
+  EXPECT_TRUE(writeAll(Fd, Frame.data(), Frame.size()));
+  net::FrameHeader Hdr;
+  std::vector<uint8_t> Payload;
+  if (!readFrame(Fd, Hdr, Payload)) {
+    ADD_FAILURE() << "no WaitResponse frame";
+    return {};
+  }
+  EXPECT_EQ(Hdr.Type, net::MsgType::WaitResponse);
+  EXPECT_EQ(Hdr.RequestId, RequestId);
+  Expected<net::WaitResponse> R =
+      decodeWaitResponse(Payload.data(), Payload.size());
+  if (!R || !R->Ok || !R->HasResult) {
+    ADD_FAILURE() << "job " << JobId << " returned no result";
+    return {};
+  }
+  return R->Result.Data;
 }
 
 fault::Rule delayRule(const char *Site, long DelayMs, long MaxFires) {
@@ -429,13 +504,7 @@ TEST_F(NetServerTest, BrokenFramingClosesThatConnectionOnly) {
   // Raw socket: 28 bytes of 0xFF are a hopeless header — the server
   // answers one ErrorResponse and closes, because there is no way to
   // resynchronize a byte stream with broken framing.
-  const int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(Fd, 0);
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, H.Ep.Path.c_str(), sizeof(Addr.sun_path) - 1);
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
-            0);
+  const int Fd = rawConnect(H);
   uint8_t Junk[net::FrameHeaderBytes];
   std::memset(Junk, 0xFF, sizeof(Junk));
   ASSERT_EQ(::send(Fd, Junk, sizeof(Junk), MSG_NOSIGNAL),
@@ -585,4 +654,157 @@ TEST_F(NetServerTest, CountersFlowIntoProcessObsRegistry) {
   H.Server->stop();
   EXPECT_GE(obs::Registry::process().counter("net.frames_in").value(),
             FramesBefore + 2);
+}
+
+//===----------------------------------------------------------------------===//
+// The read path: frames split, coalesced, oversized or corrupted
+//===----------------------------------------------------------------------===//
+
+TEST_F(NetServerTest, SubmitWrittenInSmallChunksMatchesInProcessBitwise) {
+  // The server reads straight into its connection buffer and parses by
+  // offset, so a frame arriving in pieces — split inside the header and
+  // inside a grid — must reassemble to the same bits.
+  Harness H;
+  constexpr int Sub = 8;
+  constexpr uint64_t Seed = 777;
+  const Array2D Local = dataJobInProcess(H.M, Sub, Seed);
+  const std::vector<uint8_t> Frame = net::buildFrame(
+      net::MsgType::SubmitRequest, /*RequestId=*/1, 0,
+      encode(dataJob(H, Sub, Seed)));
+  // The first grid's floats start within the first 160 bytes; the
+  // pauses there let the server see those splits as separate reads.
+  constexpr size_t PausedPrefix = 160;
+  SplitMix64 Rng(0x5eedull);
+  const char *Modes[] = {"1-byte", "7-byte", "random"};
+  for (int Mode = 0; Mode != 3; ++Mode) {
+    SCOPED_TRACE(Modes[Mode]);
+    const int Fd = rawConnect(H);
+    for (size_t At = 0; At < Frame.size();) {
+      const size_t Chunk =
+          Mode == 0 ? 1 : Mode == 1 ? 7 : 1 + Rng.nextBelow(61);
+      const size_t N = std::min(Chunk, Frame.size() - At);
+      ASSERT_TRUE(writeAll(Fd, Frame.data() + At, N));
+      At += N;
+      if (At < PausedPrefix)
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    net::FrameHeader Hdr;
+    std::vector<uint8_t> Payload;
+    ASSERT_TRUE(readFrame(Fd, Hdr, Payload));
+    ASSERT_EQ(Hdr.Type, net::MsgType::SubmitResponse);
+    Expected<net::SubmitResponse> S =
+        decodeSubmitResponse(Payload.data(), Payload.size());
+    ASSERT_TRUE(S);
+    const std::vector<float> Got = waitRaw(Fd, S->JobId, /*RequestId=*/2);
+    ::close(Fd);
+    ASSERT_EQ(Got.size(), static_cast<size_t>(Local.rows()) * Local.cols());
+    EXPECT_EQ(std::memcmp(Got.data(), Local.data(), Got.size() * sizeof(float)),
+              0);
+  }
+}
+
+TEST_F(NetServerTest, FramesCoalescedInOneWriteAreAllServed) {
+  Harness H;
+  net::HelloRequest Hello;
+  Hello.ClientName = "coalesced";
+  std::vector<uint8_t> Bytes =
+      net::buildFrame(net::MsgType::HelloRequest, /*RequestId=*/1, 0,
+                      encode(Hello));
+  const std::vector<uint8_t> Submit =
+      net::buildFrame(net::MsgType::SubmitRequest, /*RequestId=*/2, 0,
+                      encode(dataJob(H, 8, 31)));
+  Bytes.insert(Bytes.end(), Submit.begin(), Submit.end());
+  const int Fd = rawConnect(H);
+  ASSERT_TRUE(writeAll(Fd, Bytes.data(), Bytes.size()));
+
+  net::FrameHeader Hdr;
+  std::vector<uint8_t> Payload;
+  ASSERT_TRUE(readFrame(Fd, Hdr, Payload));
+  EXPECT_EQ(Hdr.Type, net::MsgType::HelloResponse);
+  EXPECT_EQ(Hdr.RequestId, 1u);
+  ASSERT_TRUE(readFrame(Fd, Hdr, Payload));
+  ASSERT_EQ(Hdr.Type, net::MsgType::SubmitResponse);
+  EXPECT_EQ(Hdr.RequestId, 2u);
+  Expected<net::SubmitResponse> S =
+      decodeSubmitResponse(Payload.data(), Payload.size());
+  ASSERT_TRUE(S);
+  const std::vector<float> Got = waitRaw(Fd, S->JobId, /*RequestId=*/3);
+  ::close(Fd);
+  const Array2D Local = dataJobInProcess(H.M, 8, 31);
+  ASSERT_EQ(Got.size(), static_cast<size_t>(Local.rows()) * Local.cols());
+  EXPECT_EQ(std::memcmp(Got.data(), Local.data(), Got.size() * sizeof(float)),
+            0);
+}
+
+TEST_F(NetServerTest, HugeDeclaredPayloadCommitsOnlyWhatArrives) {
+  // A valid header may declare up to MaxPayloadBytes (64 MiB). The read
+  // buffer must grow with the bytes that actually arrive, not with the
+  // claim: at most 64 KiB for the header alone, at most twice the bytes
+  // received after that.
+  Harness H;
+  const int Fd = rawConnect(H);
+  net::FrameHeader Hdr;
+  Hdr.Type = net::MsgType::SubmitRequest;
+  Hdr.RequestId = 1;
+  Hdr.PayloadBytes = net::MaxPayloadBytes;
+  std::vector<uint8_t> Bytes(net::FrameHeaderBytes + 1000, 0x5a);
+  net::encodeFrameHeader(Hdr, Bytes.data());
+  ASSERT_TRUE(writeAll(Fd, Bytes.data(), Bytes.size()));
+  net::Server::Counters C = waitForCounters(
+      *H.Server,
+      [](const net::Server::Counters &C) { return C.ReadBufferBytes > 0; });
+  EXPECT_GT(C.ReadBufferBytes, 0);
+  EXPECT_LE(C.ReadBufferBytes, 64 * 1024);
+
+  const std::vector<uint8_t> More(300 * 1024, 0xa5);
+  ASSERT_TRUE(writeAll(Fd, More.data(), More.size()));
+  const long Sent = static_cast<long>(Bytes.size() + More.size());
+  C = waitForCounters(*H.Server, [&](const net::Server::Counters &C) {
+    return C.ReadBufferBytes >= Sent;
+  });
+  EXPECT_GE(C.ReadBufferBytes, Sent);
+  EXPECT_LE(C.ReadBufferBytes, 2 * Sent);
+
+  // Closing frees the buffer.
+  ::close(Fd);
+  C = waitForCounters(*H.Server, [](const net::Server::Counters &C) {
+    return C.ReadBufferBytes == 0;
+  });
+  EXPECT_EQ(C.ReadBufferBytes, 0);
+}
+
+TEST_F(NetServerTest, FlippedGridBitIsRefusedWithoutAJob) {
+  // The grid checksum is verified in place, before any subgrid is built:
+  // a one-bit flip inside a real submit's grid answers ErrBadRequest,
+  // creates no service job, and leaves the connection serving.
+  Harness H;
+  auto C = H.client();
+  ASSERT_TRUE(C);
+  std::vector<uint8_t> Bad = encode(dataJob(H, 8, 55));
+  // The payload ends with the last grid's floats, its 8-byte checksum and
+  // the 16-byte trace context.
+  Bad[Bad.size() - 16 - 8 - 100] ^= 0x10;
+  const long Submitted = H.Service->stats().JobsSubmitted;
+  const uint64_t Id = C->nextRequestId();
+  ASSERT_FALSE(C->sendRequest(net::MsgType::SubmitRequest, Id, Bad));
+  Expected<net::Client::RawResponse> R = C->receive();
+  ASSERT_TRUE(R) << R.error().message();
+  EXPECT_EQ(R->Header.Type, net::MsgType::ErrorResponse);
+  EXPECT_EQ(R->Header.RequestId, Id);
+  Expected<net::ErrorResponse> E =
+      decodeErrorResponse(R->Payload.data(), R->Payload.size());
+  ASSERT_TRUE(E);
+  EXPECT_EQ(E->Code, net::ErrBadRequest);
+  EXPECT_EQ(H.Service->stats().JobsSubmitted, Submitted);
+
+  // Same connection: the intact submit is served, bitwise.
+  Expected<net::SubmitResponse> S = C->submit(dataJob(H, 8, 55));
+  ASSERT_TRUE(S) << S.error().message();
+  Expected<net::WaitResponse> W = C->wait(S->JobId);
+  ASSERT_TRUE(W) << W.error().message();
+  ASSERT_TRUE(W->Ok && W->HasResult) << W->Message;
+  const Array2D Local = dataJobInProcess(H.M, 8, 55);
+  EXPECT_EQ(std::memcmp(W->Result.Data.data(), Local.data(),
+                        W->Result.Data.size() * sizeof(float)),
+            0);
 }

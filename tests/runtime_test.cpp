@@ -16,7 +16,10 @@
 #include "runtime/StripMiner.h"
 #include "stencil/PatternLibrary.h"
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
+#include <utility>
+#include <vector>
 
 using namespace cmcc;
 
@@ -82,6 +85,66 @@ TEST(DistributedArrayTest, GlobalAccessMatchesSubgrids) {
     for (int C = 0; C != 8; ++C)
       EXPECT_EQ(A.atGlobal(R, C), Global.at(R, C));
   EXPECT_EQ(A.subgrid({1, 1}).at(0, 0), Global.at(4, 4));
+}
+
+namespace {
+
+uint32_t bitsOf(float F) {
+  uint32_t B;
+  std::memcpy(&B, &F, sizeof(B));
+  return B;
+}
+
+/// Random values with signed zeros, denormals and NaNs of several
+/// payloads (quiet and signalling) planted every 7th element: bit
+/// patterns that an arithmetic copy would not keep.
+Array2D patterned(int Rows, int Cols) {
+  Array2D G(Rows, Cols);
+  G.fillRandom(static_cast<uint64_t>(Rows) * 131 + Cols);
+  const uint32_t Specials[] = {0x80000000u, 0x7fc00001u, 0xffc12345u,
+                               0x7f800001u, 0xff8000ffu, 0x00000001u};
+  for (int I = 0; I < Rows * Cols; I += 7)
+    std::memcpy(G.data() + I, &Specials[(I / 7) % 6], sizeof(float));
+  return G;
+}
+
+} // namespace
+
+TEST(DistributedArrayTest, RowCopiesAreBitwiseOverNodeGridShapes) {
+  // scatter/gather and their pointer forms copy whole subgrid rows; the
+  // element-wise atGlobal is the reference, bit for bit. 3x5 subgrids
+  // keep the rows odd-sized, and the pointer forms run at an odd address,
+  // as a grid inside a received frame does.
+  const std::pair<int, int> Shapes[] = {{4, 4}, {2, 8}, {1, 16}};
+  for (const auto &[NodeRows, NodeCols] : Shapes) {
+    SCOPED_TRACE(std::to_string(NodeRows) + "x" + std::to_string(NodeCols));
+    const NodeGrid Grid(NodeRows, NodeCols);
+    DistributedArray A(Grid, 3, 5);
+    const Array2D Global = patterned(A.globalRows(), A.globalCols());
+    const size_t Bytes = static_cast<size_t>(Global.rows()) * Global.cols() *
+                         sizeof(float);
+    auto ExpectHolds = [&](const DistributedArray &D) {
+      for (int R = 0; R != Global.rows(); ++R)
+        for (int C = 0; C != Global.cols(); ++C)
+          ASSERT_EQ(bitsOf(D.atGlobal(R, C)), bitsOf(Global.at(R, C)))
+              << "(" << R << "," << C << ")";
+    };
+
+    A.scatter(Global);
+    ExpectHolds(A);
+    const Array2D Back = A.gather();
+    EXPECT_EQ(std::memcmp(Back.data(), Global.data(), Bytes), 0);
+
+    std::vector<unsigned char> Frame(Bytes + 1);
+    std::memcpy(Frame.data() + 1, Global.data(), Bytes);
+    DistributedArray B(Grid, 3, 5);
+    B.scatterFrom(Frame.data() + 1);
+    ExpectHolds(B);
+    std::vector<unsigned char> Out(Bytes + 3, 0xEE);
+    B.gatherInto(Out.data() + 3);
+    EXPECT_EQ(std::memcmp(Out.data() + 3, Global.data(), Bytes), 0);
+    EXPECT_EQ(Out[0], 0xEE); // Nothing written before the destination.
+  }
 }
 
 TEST(DistributedArrayTest, DecompositionMatchesFigure1) {

@@ -20,22 +20,24 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <span>
 
 using namespace cmcc;
 
 namespace {
 
 /// The sign-folded per-tap operand stream for one node, resolved once
-/// before the row loops (the native analogue of FastNodeBinding, with
-/// the tap loop hoisted outside the column loop so the column loop
-/// vectorizes).
+/// per node per compute pass, before the row loops (the native analogue
+/// of FastNodeBinding, with the tap loop hoisted outside the column loop
+/// so the column loop vectorizes).
 struct NodeTap {
-  /// Padded source base at (Border + Dy, Border + Dx) — indexing it
-  /// with [r * SourceStride + j] yields Source(r + Dy, j + Dx) of the
-  /// subgrid. Null for bare-coefficient terms.
+  /// Source element (Dy - POut, Dx - POut) of the subgrid inside its
+  /// padded storage — indexing it with [r * SourceStride + j] yields
+  /// Source(r - POut + Dy, j - POut + Dx). Null for bare-coefficient
+  /// terms.
   const float *Source = nullptr;
   int SourceStride = 0;
-  /// Coefficient subgrid base; null for scalar coefficients.
+  /// Coefficient element (-POut, -POut); null for scalar coefficients.
   const float *Coeff = nullptr;
   int CoeffStride = 0;
   float Sign = 1.0f;
@@ -48,7 +50,7 @@ struct NodeTap {
 /// tap order, each term Data * (Sign * Coeff) rounded separately —
 /// the same chain the FPU executes, modulo the schedule's tap
 /// permutation.
-void computeRows(const std::vector<NodeTap> &Taps, float *Result,
+void computeRows(std::span<const NodeTap> Taps, float *Result,
                  int ResultStride, int Cols, int RowBegin, int RowEnd) {
   for (int R = RowBegin; R != RowEnd; ++R) {
     float *Out = Result + static_cast<size_t>(R) * ResultStride;
@@ -108,7 +110,6 @@ NativeBackend::runResolved(const CompiledStencil &Compiled,
     return E;
   const int Radius = Spec.borderWidths().maximum();
   const int Border = K * Radius;
-  const int CoeffBorder = (K - 1) * Radius;
 
   std::unique_ptr<ThreadPool> PrivatePool;
   ThreadPool *Pool;
@@ -121,145 +122,76 @@ NativeBackend::runResolved(const CompiledStencil &Compiled,
 
   const auto Start = std::chrono::steady_clock::now();
 
-  // Same §5.1 exchange protocol as the simulated path: wraparound /
-  // zero-fill identical, skipped corners identically NaN-poisoned.
-  // Tiled runs always fetch corners — intermediate side-pad values
-  // feed corner-adjacent cells of later steps.
-  const bool FetchCorners =
-      K > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
-  auto Exchange = [&](const DistributedArray &A, int SourceIndex,
-                      int B) -> Expected<std::vector<Array2D>> {
-    // Probed per exchange step, not per run: any one of a run's
-    // exchanges can be lost.
-    if (fault::probe("halo.exchange"))
-      return fault::injectedFault("halo.exchange");
-    if (Opts.Domain)
-      return exchangeHalosPartitioned(A, *Opts.Domain, Opts.Transport,
-                                      SourceIndex, B, Spec.BoundaryDim1,
-                                      Spec.BoundaryDim2, FetchCorners, Pool);
-    return exchangeHalos(A, B, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                         FetchCorners, Pool);
-  };
-  std::vector<std::vector<Array2D>> PaddedBySource;
-  // Tiled runs also pad each distinct coefficient array (by name, in
-  // first-appearance tap order — the same deterministic order every
-  // shard worker derives): intermediate pad cells multiply by the
-  // *owner's* coefficients. Transport source indices follow the real
-  // sources.
-  std::vector<std::vector<Array2D>> CoeffPadded;
-  std::vector<int> TapCoeffOrdinal(Spec.Taps.size(), -1);
-  {
+  // Same §5.1 exchange protocol as the simulated path, in place:
+  // wraparound / zero-fill identical, skipped corners identically
+  // NaN-poisoned.
+  Expected<RunHalos> Halos = [&] {
     CMCC_SPAN("backend.native.halo_exchange");
-    PaddedBySource.reserve(Spec.sourceCount());
-    for (int S = 0; S != Spec.sourceCount(); ++S) {
-      Expected<std::vector<Array2D>> Padded =
-          Exchange(*Resolved.Sources[S], S, Border);
-      if (!Padded)
-        return Padded.error();
-      PaddedBySource.push_back(std::move(*Padded));
-    }
-    if (K > 1) {
-      const std::vector<std::string> Names = Spec.coefficientArrayNames();
-      for (size_t I = 0; I != Spec.Taps.size(); ++I)
-        if (Spec.Taps[I].Coeff.isArray())
-          TapCoeffOrdinal[I] = static_cast<int>(
-              std::find(Names.begin(), Names.end(), Spec.Taps[I].Coeff.Name) -
-              Names.begin());
-      CoeffPadded.resize(Names.size());
-      for (size_t N = 0; N != Names.size(); ++N) {
-        const DistributedArray *C = nullptr;
-        for (size_t I = 0; I != Spec.Taps.size(); ++I)
-          if (TapCoeffOrdinal[I] == static_cast<int>(N)) {
-            C = Resolved.TapCoefficients[I];
-            break;
-          }
-        assert(C && "coefficient name resolved to no array");
-        Expected<std::vector<Array2D>> Padded =
-            Exchange(*C, Spec.sourceCount() + static_cast<int>(N),
-                     CoeffBorder);
-        if (!Padded)
-          return Padded.error();
-        CoeffPadded[N] = std::move(*Padded);
-      }
-    }
-  }
+    return RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip,
+                              Opts.Domain, Opts.Transport);
+  }();
+  if (!Halos)
+    return Halos.error();
 
   {
     CMCC_SPAN("backend.native.compute");
     const int RowsPerTile = std::max(1, Opts.RowsPerTile);
+    const size_t TapCount = Spec.Taps.size();
 
-    // One compute pass: rows [RowBegin, RowEnd) of the POut-extended
-    // rectangle of every node, reading inputs padded by InBorder and
-    // writing outputs padded by OutBorder. The final step (POut == 0,
-    // unpadded result, per-subgrid coefficients) and the classic
-    // untiled run are the same pass.
-    auto ComputePass = [&](const std::vector<Array2D> *In, int InBorder,
-                           std::vector<Array2D> *Out, int OutBorder,
-                           bool PaddedCoeffs, int POut) {
+    // One compute pass: rows [0, SubRows + 2 POut) of the POut-extended
+    // rectangle of every node, reading \p In (null: the run's sources,
+    // exchanged in place) and writing \p Out (null: the result
+    // subgrids). The final step (POut == 0) and the classic untiled run
+    // are the same pass. Coefficients are read in place, their margins
+    // reaching the tiled run's deepest extension.
+    auto ComputePass = [&](std::vector<Array2D> *In,
+                           std::vector<Array2D> *Out, int POut) {
       const int ExtRows = SubRows + 2 * POut;
       const int ExtCols = SubCols + 2 * POut;
       const int TilesPerNode = (ExtRows + RowsPerTile - 1) / RowsPerTile;
+      // Each node's tap streams, resolved once per pass on the caller.
+      std::vector<NodeTap> Taps(TapCount * Grid.nodeCount());
+      for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+        const NodeCoord Node = Grid.coordOf(Id);
+        for (size_t I = 0; I != TapCount; ++I) {
+          const Tap &T = Spec.Taps[I];
+          NodeTap &N = Taps[Id * TapCount + I];
+          N.Sign = static_cast<float>(T.Sign);
+          if (T.HasData) {
+            const ConstSubgridView Src =
+                In ? (*In)[static_cast<size_t>(Id)].view(Border)
+                   : Resolved.Sources[T.SourceIndex]->subgrid(Node);
+            N.SourceStride = Src.stride();
+            N.Source = Src.row(T.At.Dy - POut) + T.At.Dx - POut;
+          }
+          if (const DistributedArray *C = Resolved.TapCoefficients[I]) {
+            const ConstSubgridView Sub = C->subgrid(Node);
+            N.CoeffStride = Sub.stride();
+            N.Coeff = Sub.row(-POut) - POut;
+          } else {
+            N.Immediate = N.Sign * static_cast<float>(T.Coeff.Value);
+          }
+        }
+      }
+
       // Tiles are disjoint row bands of distinct output arrays, so any
       // thread count computes identical bits.
       Pool->parallelFor(Grid.nodeCount() * TilesPerNode, [&](int Task) {
         const int NodeId = Task / TilesPerNode;
-        const NodeCoord Node = Grid.coordOf(NodeId);
         const int RowBegin = (Task % TilesPerNode) * RowsPerTile;
         const int RowEnd = std::min(ExtRows, RowBegin + RowsPerTile);
-
-        std::vector<NodeTap> Taps;
-        Taps.reserve(Spec.Taps.size());
-        for (size_t I = 0; I != Spec.Taps.size(); ++I) {
-          const Tap &T = Spec.Taps[I];
-          NodeTap N;
-          N.Sign = static_cast<float>(T.Sign);
-          if (T.HasData) {
-            const Array2D &Padded =
-                In ? (*In)[NodeId] : PaddedBySource[T.SourceIndex][NodeId];
-            N.SourceStride = Padded.cols();
-            N.Source = Padded.data() +
-                       static_cast<size_t>(InBorder - POut + T.At.Dy) *
-                           N.SourceStride +
-                       InBorder - POut + T.At.Dx;
-          }
-          if (Resolved.TapCoefficients[I]) {
-            if (PaddedCoeffs) {
-              const Array2D &Sub =
-                  CoeffPadded[static_cast<size_t>(TapCoeffOrdinal[I])]
-                             [static_cast<size_t>(NodeId)];
-              N.CoeffStride = Sub.cols();
-              N.Coeff = Sub.data() +
-                        static_cast<size_t>(CoeffBorder - POut) *
-                            N.CoeffStride +
-                        CoeffBorder - POut;
-            } else {
-              const Array2D &Sub =
-                  Resolved.TapCoefficients[I]->subgrid(Node);
-              N.Coeff = Sub.data();
-              N.CoeffStride = Sub.cols();
-            }
-          } else {
-            N.Immediate = N.Sign * static_cast<float>(T.Coeff.Value);
-          }
-          Taps.push_back(N);
-        }
-
-        if (Out) {
-          Array2D &O = (*Out)[static_cast<size_t>(NodeId)];
-          float *Base = O.data() +
-                        static_cast<size_t>(OutBorder - POut) * O.cols() +
-                        OutBorder - POut;
-          computeRows(Taps, Base, O.cols(), ExtCols, RowBegin, RowEnd);
-        } else {
-          Array2D &Result = Resolved.Result->subgrid(Node);
-          computeRows(Taps, Result.data(), Result.cols(), ExtCols, RowBegin,
-                      RowEnd);
-        }
+        const std::span<const NodeTap> NodeTaps(
+            Taps.data() + NodeId * TapCount, TapCount);
+        const SubgridView O =
+            Out ? (*Out)[static_cast<size_t>(NodeId)].view(Border)
+                : Resolved.Result->subgrid(Grid.coordOf(NodeId));
+        computeRows(NodeTaps, O.row(-POut) - POut, O.stride(), ExtCols,
+                    RowBegin, RowEnd);
       });
     };
 
     if (K == 1) {
-      ComputePass(nullptr, Border, nullptr, 0, false, 0);
+      ComputePass(nullptr, nullptr, 0);
     } else {
       // K-1 intermediate steps through double-buffered wide scratch;
       // the parallelFor join between steps is the barrier. Cells
@@ -277,10 +209,9 @@ NativeBackend::runResolved(const CompiledStencil &Compiled,
                            Spec.BoundaryDim2 == BoundaryKind::Zero;
       for (int S = 1; S != K; ++S) {
         const int POut = (K - S) * Radius;
-        std::vector<Array2D> *In =
-            S == 1 ? &PaddedBySource[0] : &Buffers[S & 1];
+        std::vector<Array2D> *In = S == 1 ? nullptr : &Buffers[S & 1];
         std::vector<Array2D> *Out = &Buffers[(S - 1) & 1];
-        ComputePass(In, Border, Out, Border, true, POut);
+        ComputePass(In, Out, POut);
         if (AnyZero) {
           // Cells whose global position is outside the array under a
           // Zero (EOSHIFT) boundary are identically zero at every
@@ -298,7 +229,7 @@ NativeBackend::runResolved(const CompiledStencil &Compiled,
           });
         }
       }
-      ComputePass(&Buffers[(K - 2) & 1], Border, nullptr, 0, false, 0);
+      ComputePass(&Buffers[(K - 2) & 1], nullptr, 0);
     }
   }
 

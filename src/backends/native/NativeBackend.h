@@ -13,7 +13,7 @@
 ///
 /// Numerics are kept aligned with the simulated FPU on purpose:
 ///
-///   * halos come from the same exchangeHalos protocol (wraparound /
+///   * halos come from the same in-place exchange protocol (wraparound /
 ///     zero-fill / poisoned skipped corners identical);
 ///   * each result point accumulates `0.0f + term0 + term1 + ...` in
 ///     single precision with each term rounded separately (the file is

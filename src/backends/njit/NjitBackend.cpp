@@ -71,7 +71,6 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
     return E;
   const int Radius = Spec.borderWidths().maximum();
   const int Border = K * Radius;
-  const int CoeffBorder = (K - 1) * Radius;
 
   std::unique_ptr<ThreadPool> PrivatePool;
   ThreadPool *Pool;
@@ -84,143 +83,78 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
 
   const auto Start = std::chrono::steady_clock::now();
 
-  // Same exchange protocol as the other backends (runtime/TimeTile.h
-  // documents the widened tiled form; the kernel is geometry-oblivious
-  // — bases, strides, and widths are call operands — so the same
-  // artifact drives untiled runs, intermediate extended rectangles,
-  // and the final step).
-  const bool FetchCorners =
-      K > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
-  auto Exchange = [&](const DistributedArray &A, int SourceIndex,
-                      int B) -> Expected<std::vector<Array2D>> {
-    if (fault::probe("halo.exchange"))
-      return fault::injectedFault("halo.exchange");
-    if (Opts.Domain)
-      return exchangeHalosPartitioned(A, *Opts.Domain, Opts.Transport,
-                                      SourceIndex, B, Spec.BoundaryDim1,
-                                      Spec.BoundaryDim2, FetchCorners, Pool);
-    return exchangeHalos(A, B, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                         FetchCorners, Pool);
-  };
-  std::vector<std::vector<Array2D>> PaddedBySource;
-  std::vector<std::vector<Array2D>> CoeffPadded;
-  std::vector<int> TapCoeffOrdinal(Spec.Taps.size(), -1);
-  {
+  // Same in-place exchange protocol as the other backends
+  // (runtime/TimeTile.h documents the widened tiled form; the kernel is
+  // geometry-oblivious — bases, strides, and widths are call operands —
+  // so the same artifact drives untiled runs, intermediate extended
+  // rectangles, and the final step).
+  Expected<RunHalos> Halos = [&] {
     CMCC_SPAN("backend.njit.halo_exchange");
-    PaddedBySource.reserve(Spec.sourceCount());
-    for (int S = 0; S != Spec.sourceCount(); ++S) {
-      Expected<std::vector<Array2D>> Padded =
-          Exchange(*Resolved.Sources[S], S, Border);
-      if (!Padded)
-        return Padded.error();
-      PaddedBySource.push_back(std::move(*Padded));
-    }
-    if (K > 1) {
-      // Distinct coefficient arrays, by name in first-appearance tap
-      // order (deterministic across shard workers), padded to the
-      // deepest intermediate extension.
-      const std::vector<std::string> Names = Spec.coefficientArrayNames();
-      for (size_t I = 0; I != Spec.Taps.size(); ++I)
-        if (Spec.Taps[I].Coeff.isArray())
-          TapCoeffOrdinal[I] = static_cast<int>(
-              std::find(Names.begin(), Names.end(), Spec.Taps[I].Coeff.Name) -
-              Names.begin());
-      CoeffPadded.resize(Names.size());
-      for (size_t N = 0; N != Names.size(); ++N) {
-        const DistributedArray *C = nullptr;
-        for (size_t I = 0; I != Spec.Taps.size(); ++I)
-          if (TapCoeffOrdinal[I] == static_cast<int>(N)) {
-            C = Resolved.TapCoefficients[I];
-            break;
-          }
-        assert(C && "coefficient name resolved to no array");
-        Expected<std::vector<Array2D>> Padded =
-            Exchange(*C, Spec.sourceCount() + static_cast<int>(N),
-                     CoeffBorder);
-        if (!Padded)
-          return Padded.error();
-        CoeffPadded[N] = std::move(*Padded);
-      }
-    }
-  }
+    return RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip,
+                              Opts.Domain, Opts.Transport);
+  }();
+  if (!Halos)
+    return Halos.error();
 
   {
     CMCC_SPAN("njit.run");
     const int RowsPerTile = std::max(1, Opts.RowsPerTile);
     const size_t TapCount = Spec.Taps.size();
 
-    // One kernel pass over the POut-extended rectangle of every node
-    // (POut == 0 with Out == nullptr is the classic untiled run and
-    // the final tiled step).
-    auto KernelPass = [&](const std::vector<Array2D> *In,
-                          std::vector<Array2D> *Out, bool PaddedCoeffs,
-                          int POut) {
+    // One kernel pass over the POut-extended rectangle of every node,
+    // reading \p In (null: the run's sources, exchanged in place) and
+    // writing \p Out (null: the result subgrids; POut == 0 is the
+    // classic untiled run and the final tiled step).
+    auto KernelPass = [&](std::vector<Array2D> *In,
+                          std::vector<Array2D> *Out, int POut) {
       const int ExtRows = SubRows + 2 * POut;
       const int ExtCols = SubCols + 2 * POut;
       const int TilesPerNode = (ExtRows + RowsPerTile - 1) / RowsPerTile;
-      Pool->parallelFor(Grid.nodeCount() * TilesPerNode, [&](int Task) {
-        const int NodeId = Task / TilesPerNode;
-        const NodeCoord Node = Grid.coordOf(NodeId);
-        const int RowBegin = (Task % TilesPerNode) * RowsPerTile;
-        const int RowEnd = std::min(ExtRows, RowBegin + RowsPerTile);
-
-        // Pre-resolved operand slots, indexed by tap: bases already
-        // offset so the kernel does no offset arithmetic. Slots the
-        // emitted code hard-coded away are never read.
-        std::vector<const float *> TapSrc(TapCount, nullptr);
-        std::vector<long> TapSrcStride(TapCount, 0);
-        std::vector<const float *> TapCoeff(TapCount, nullptr);
-        std::vector<long> TapCoeffStride(TapCount, 0);
+      // Pre-resolved operand slots per node, indexed by tap and built
+      // once per pass: bases already offset so the kernel does no offset
+      // arithmetic. Slots the emitted code hard-coded away are never
+      // read.
+      const size_t Slots = TapCount * Grid.nodeCount();
+      std::vector<const float *> TapSrc(Slots, nullptr);
+      std::vector<long> TapSrcStride(Slots, 0);
+      std::vector<const float *> TapCoeff(Slots, nullptr);
+      std::vector<long> TapCoeffStride(Slots, 0);
+      for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+        const NodeCoord Node = Grid.coordOf(Id);
         for (size_t I = 0; I != TapCount; ++I) {
           const Tap &T = Spec.Taps[I];
+          const size_t At = Id * TapCount + I;
           if (T.HasData) {
-            const Array2D &Padded =
-                In ? (*In)[static_cast<size_t>(NodeId)]
-                   : PaddedBySource[T.SourceIndex][NodeId];
-            TapSrcStride[I] = Padded.cols();
-            TapSrc[I] = Padded.data() +
-                        static_cast<size_t>(Border - POut + T.At.Dy) *
-                            Padded.cols() +
-                        Border - POut + T.At.Dx;
+            const ConstSubgridView Src =
+                In ? (*In)[static_cast<size_t>(Id)].view(Border)
+                   : Resolved.Sources[T.SourceIndex]->subgrid(Node);
+            TapSrcStride[At] = Src.stride();
+            TapSrc[At] = Src.row(T.At.Dy - POut) + T.At.Dx - POut;
           }
-          if (Resolved.TapCoefficients[I]) {
-            if (PaddedCoeffs) {
-              const Array2D &Sub =
-                  CoeffPadded[static_cast<size_t>(TapCoeffOrdinal[I])]
-                             [static_cast<size_t>(NodeId)];
-              TapCoeffStride[I] = Sub.cols();
-              TapCoeff[I] = Sub.data() +
-                            static_cast<size_t>(CoeffBorder - POut) *
-                                Sub.cols() +
-                            CoeffBorder - POut;
-            } else {
-              const Array2D &Sub =
-                  Resolved.TapCoefficients[I]->subgrid(Node);
-              TapCoeff[I] = Sub.data();
-              TapCoeffStride[I] = Sub.cols();
-            }
+          if (const DistributedArray *C = Resolved.TapCoefficients[I]) {
+            const ConstSubgridView Sub = C->subgrid(Node);
+            TapCoeffStride[At] = Sub.stride();
+            TapCoeff[At] = Sub.row(-POut) - POut;
           }
         }
+      }
 
-        if (Out) {
-          Array2D &O = (*Out)[static_cast<size_t>(NodeId)];
-          float *Base = O.data() +
-                        static_cast<size_t>(Border - POut) * O.cols() +
-                        Border - POut;
-          Kernel->Kernel(Base, O.cols(), TapSrc.data(), TapSrcStride.data(),
-                         TapCoeff.data(), TapCoeffStride.data(), RowBegin,
-                         RowEnd, ExtCols);
-        } else {
-          Array2D &Result = Resolved.Result->subgrid(Node);
-          Kernel->Kernel(Result.data(), Result.cols(), TapSrc.data(),
-                         TapSrcStride.data(), TapCoeff.data(),
-                         TapCoeffStride.data(), RowBegin, RowEnd, ExtCols);
-        }
+      Pool->parallelFor(Grid.nodeCount() * TilesPerNode, [&](int Task) {
+        const int NodeId = Task / TilesPerNode;
+        const int RowBegin = (Task % TilesPerNode) * RowsPerTile;
+        const int RowEnd = std::min(ExtRows, RowBegin + RowsPerTile);
+        const size_t At = NodeId * TapCount;
+        const SubgridView O =
+            Out ? (*Out)[static_cast<size_t>(NodeId)].view(Border)
+                : Resolved.Result->subgrid(Grid.coordOf(NodeId));
+        Kernel->Kernel(O.row(-POut) - POut, O.stride(), TapSrc.data() + At,
+                       TapSrcStride.data() + At, TapCoeff.data() + At,
+                       TapCoeffStride.data() + At, RowBegin, RowEnd, ExtCols);
       });
     };
 
     if (K == 1) {
-      KernelPass(nullptr, nullptr, false, 0);
+      KernelPass(nullptr, nullptr, 0);
     } else {
       // K-1 intermediate steps through double-buffered wide scratch;
       // the parallelFor join between steps is the barrier.
@@ -235,10 +169,9 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
                            Spec.BoundaryDim2 == BoundaryKind::Zero;
       for (int S = 1; S != K; ++S) {
         const int POut = (K - S) * Radius;
-        std::vector<Array2D> *In =
-            S == 1 ? &PaddedBySource[0] : &Buffers[S & 1];
+        std::vector<Array2D> *In = S == 1 ? nullptr : &Buffers[S & 1];
         std::vector<Array2D> *Out = &Buffers[(S - 1) & 1];
-        KernelPass(In, Out, true, POut);
+        KernelPass(In, Out, POut);
         if (AnyZero) {
           Pool->parallelFor(Grid.nodeCount(), [&](int Id) {
             const NodeCoord Node = Grid.coordOf(Id);
@@ -252,7 +185,7 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
           });
         }
       }
-      KernelPass(&Buffers[(K - 2) & 1], nullptr, false, 0);
+      KernelPass(&Buffers[(K - 2) & 1], nullptr, 0);
     }
   }
 

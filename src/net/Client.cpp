@@ -134,7 +134,7 @@ Expected<Client::RawResponse> Client::receive() {
     return H.error();
   RawResponse R;
   R.Header = *H;
-  R.Payload.resize(H->PayloadBytes);
+  R.Payload = PayloadBuffer(H->PayloadBytes);
   if (H->PayloadBytes)
     if (Error E = readFull(Fd, R.Payload.data(), R.Payload.size()))
       return E;

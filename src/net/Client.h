@@ -72,10 +72,26 @@ public:
   Error sendRequest(MsgType Type, uint64_t RequestId,
                     const std::vector<uint8_t> &Payload);
 
+  /// Payload bytes read straight into storage sized from the frame
+  /// header, never zero-filled first.
+  class PayloadBuffer {
+  public:
+    explicit PayloadBuffer(size_t Size = 0)
+        : Bytes(std::make_unique_for_overwrite<uint8_t[]>(Size)),
+          Size(Size) {}
+    uint8_t *data() { return Bytes.get(); }
+    const uint8_t *data() const { return Bytes.get(); }
+    size_t size() const { return Size; }
+
+  private:
+    std::unique_ptr<uint8_t[]> Bytes;
+    size_t Size;
+  };
+
   /// One response frame, header decoded, payload raw.
   struct RawResponse {
     FrameHeader Header;
-    std::vector<uint8_t> Payload;
+    PayloadBuffer Payload;
   };
 
   /// Reads the next response frame (blocking). Fails on EOF, a socket

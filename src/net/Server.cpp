@@ -246,9 +246,10 @@ Error Server::start() {
   // The completion bridge: service workers push finished ids and poke
   // the pipe; only the loop thread consumes.
   Service.setJobFinishedCallback([this](StencilService::JobId Id) {
+    const uint64_t AtNs = obs::detail::nowNs();
     {
       std::lock_guard<std::mutex> Lock(FinishedMutex);
-      FinishedQueue.push_back(Id);
+      FinishedQueue.push_back({Id, AtNs});
     }
     const char Byte = 'f';
     [[maybe_unused]] ssize_t N = ::write(WakePipe[1], &Byte, 1);
@@ -723,10 +724,18 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
 void Server::handleSubmit(Conn &C, const FrameHeader &H,
                           const uint8_t *Payload) {
   // Grids stay in the read buffer: the decode verifies them in place
-  // and scatterFrom below is their one copy.
+  // and fromGlobal below is their one copy.
+  const uint64_t DecodeBeginNs =
+      obs::traceEnabled() ? obs::detail::nowNs() : 0;
   Expected<SubmitView> M = decodeSubmitView(Payload, H.PayloadBytes);
   if (!M)
     return sendError(C, H, ErrBadRequest, M.error().message());
+  // The decode span joins the job's trace: its id arrives inside the
+  // very payload the span times.
+  if (DecodeBeginNs && M->TraceId)
+    obs::detail::recordSpan("server.decode", DecodeBeginNs,
+                            obs::detail::nowNs(), M->TraceId,
+                            obs::mintSpanId(), M->ParentSpan);
   if (Draining.load(std::memory_order_acquire))
     return sendError(C, H, ErrDraining, "server is draining; resubmit elsewhere");
 
@@ -739,6 +748,8 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
   JobRec J;
   J.ConnId = C.Id;
   J.Tenant = H.Tenant;
+  J.TraceId = M->TraceId;
+  J.ParentSpan = M->ParentSpan;
   J.ResultName = M->ResultName.empty() ? "RESULT" : M->ResultName;
 
   StencilService::JobRequest Req;
@@ -767,6 +778,7 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
     if (M->Grids[0].Kind != GridRole::Source)
       return sendError(C, H, ErrBadRequest,
                        "the first grid must be the source array");
+    CMCC_SPAN("server.scatter");
     J.WantResult = true;
     J.Args = std::make_unique<StencilArguments>();
     int SubRows = 0, SubCols = 0;
@@ -782,10 +794,9 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
                              ") does not decompose over the " +
                              std::to_string(Grid.rows()) + "x" +
                              std::to_string(Grid.cols()) + " node grid");
-      auto A = std::make_unique<DistributedArray>(
+      std::unique_ptr<DistributedArray> A = DistributedArray::fromGlobal(
           Grid, static_cast<int>(G.Rows) / Grid.rows(),
-          static_cast<int>(G.Cols) / Grid.cols());
-      A->scatterFrom(G.Data);
+          static_cast<int>(G.Cols) / Grid.cols(), G.Data);
       switch (B.Kind) {
       case GridRole::Source:
         if (J.Args->Source)
@@ -858,6 +869,13 @@ void Server::handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M) {
 }
 
 void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
+  static obs::Histogram &FinishToDeliver =
+      obs::Registry::process().histogram("net.finish_to_deliver_us");
+  if (J.FinishedNs)
+    FinishToDeliver.observe(
+        static_cast<double>(obs::detail::nowNs() - J.FinishedNs) / 1000.0);
+  obs::ScopedTraceContext TraceScope(J.TraceId, J.ParentSpan);
+  CMCC_SPAN("server.deliver");
   // The job is finished, so this wait() returns without blocking.
   StencilService::JobResult Res = Service.wait(J.Id);
   WaitResponse R;
@@ -898,17 +916,19 @@ void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
 }
 
 void Server::processFinished() {
-  std::deque<StencilService::JobId> Batch;
+  std::deque<FinishedJob> Batch;
   {
     std::lock_guard<std::mutex> Lock(FinishedMutex);
     Batch.swap(FinishedQueue);
   }
-  for (StencilService::JobId Id : Batch) {
+  for (const FinishedJob &F : Batch) {
+    const StencilService::JobId Id = F.Id;
     auto It = Jobs.find(Id);
     if (It == Jobs.end())
       continue; // Already delivered (finished-before-wait path).
     JobRec &J = It->second;
     J.Finished = true;
+    J.FinishedNs = F.AtNs;
     auto CIt = J.HasWaiter ? Conns.find(J.WaiterConn) : Conns.end();
     if (CIt == Conns.end()) {
       // No live waiter. An orphan (submitter gone) is discarded now;

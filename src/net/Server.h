@@ -211,6 +211,12 @@ private:
     /// When the (current) WaitRequest arrived; deliverResult observes
     /// the park-to-delivery latency into net.req_us.wait.
     uint64_t WaiterArrivedNs = 0;
+    /// When the service's finished callback fired for this job;
+    /// deliverResult observes the hop into net.finish_to_deliver_us.
+    uint64_t FinishedNs = 0;
+    /// The client-minted trace context, re-adopted for the delivery.
+    uint64_t TraceId = 0;
+    uint64_t ParentSpan = 0;
     std::unique_ptr<StencilArguments> Args;
     std::vector<std::unique_ptr<DistributedArray>> Arrays;
   };
@@ -224,9 +230,14 @@ private:
   Counters Stats;
 
   //===--- Cross-thread state ---------------------------------------------===//
-  /// Jobs the service finished, fed by its callback thread(s).
+  /// Jobs the service finished, with when the callback fired, fed by
+  /// its callback thread(s).
+  struct FinishedJob {
+    StencilService::JobId Id;
+    uint64_t AtNs;
+  };
   std::mutex FinishedMutex;
-  std::deque<StencilService::JobId> FinishedQueue;
+  std::deque<FinishedJob> FinishedQueue;
   std::atomic<bool> Draining{false};
   std::atomic<bool> LoopDone{false};
   /// Self-pipe: [0] read end owned by poll(), [1] written by

@@ -8,6 +8,7 @@
 #include "support/Random.h"
 #include <cmath>
 #include <limits>
+#include <span>
 
 using namespace cmcc;
 
@@ -26,6 +27,14 @@ void Array2D::fillRandom(uint64_t Seed, float Low, float High) {
   SplitMix64 Rng(Seed);
   for (float &V : Data)
     V = Rng.nextFloatInRange(Low, High);
+}
+
+template <>
+void SubgridView::fillRandom(uint64_t Seed, float Low, float High) const {
+  SplitMix64 Rng(Seed);
+  for (int R = 0; R != Rows; ++R)
+    for (float &V : std::span(row(R), static_cast<size_t>(Cols)))
+      V = Rng.nextFloatInRange(Low, High);
 }
 
 float Array2D::maxAbsDifference(const Array2D &A, const Array2D &B) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/DistributedArray.h"
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,19 +14,87 @@ using namespace cmcc;
 
 DistributedArray::DistributedArray(const NodeGrid &Grid, int SubRows,
                                    int SubCols)
+    : DistributedArray(Grid, SubRows, SubCols, Init::Zero) {}
+
+DistributedArray::DistributedArray(const NodeGrid &Grid, int SubRows,
+                                   int SubCols, Init How)
     : Grid(Grid), SubRows(SubRows), SubCols(SubCols) {
   assert(SubRows > 0 && SubCols > 0 && "subgrid must be nonempty");
-  Subgrids.reserve(Grid.nodeCount());
-  for (int I = 0; I != Grid.nodeCount(); ++I)
-    Subgrids.emplace_back(SubRows, SubCols);
+  const size_t Floats = nodeFloats() * Grid.nodeCount();
+  Storage = How == Init::Zero ? std::make_unique<float[]>(Floats)
+                              : std::make_unique_for_overwrite<float[]>(Floats);
 }
 
-Array2D &DistributedArray::subgrid(NodeCoord C) {
-  return Subgrids[Grid.nodeId(C)];
+std::unique_ptr<DistributedArray>
+DistributedArray::fromGlobal(const NodeGrid &Grid, int SubRows, int SubCols,
+                             const void *Global) {
+  std::unique_ptr<DistributedArray> A(
+      new DistributedArray(Grid, SubRows, SubCols, Init::None));
+  A->scatterFrom(Global);
+  return A;
 }
 
-const Array2D &DistributedArray::subgrid(NodeCoord C) const {
-  return Subgrids[Grid.nodeId(C)];
+size_t DistributedArray::nodeFloats() const {
+  return static_cast<size_t>(SubRows + 2 * Margin) * (SubCols + 2 * Margin);
+}
+
+SubgridView DistributedArray::writableSubgrid(int NodeId) const {
+  const int Stride = SubCols + 2 * Margin;
+  float *Origin = Storage.get() + nodeFloats() * NodeId +
+                  static_cast<size_t>(Margin) * Stride + Margin;
+  return {Origin, SubRows, SubCols, Stride, Margin};
+}
+
+SubgridView DistributedArray::subgrid(NodeCoord C) {
+  return writableSubgrid(Grid.nodeId(C));
+}
+
+ConstSubgridView DistributedArray::subgrid(NodeCoord C) const {
+  return writableSubgrid(Grid.nodeId(C));
+}
+
+/// NaN-fills every margin cell around \p V's subgrid, row by row.
+static void poisonMargin(SubgridView V) {
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const int M = V.margin();
+  for (int R = -M; R != V.rows() + M; ++R) {
+    if (R < 0 || R >= V.rows()) {
+      std::fill_n(V.row(R) - M, V.stride(), Nan);
+      continue;
+    }
+    std::fill_n(V.row(R) - M, M, Nan);
+    std::fill_n(V.row(R) + V.cols(), M, Nan);
+  }
+}
+
+void DistributedArray::prepareMargin(int Border, bool Corners) const {
+  if (Border > Margin) {
+    // Regrow: each core moves into the wider layout and the new margin
+    // starts all NaN, so nothing is filled yet.
+    const std::unique_ptr<float[]> Old = std::move(Storage);
+    const size_t OldFloats = nodeFloats();
+    const int OldMargin = Margin;
+    const int OldStride = SubCols + 2 * OldMargin;
+    Margin = Border;
+    Storage = std::make_unique_for_overwrite<float[]>(nodeFloats() *
+                                                      Grid.nodeCount());
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+      const float *From = Old.get() + OldFloats * Id +
+                          static_cast<size_t>(OldMargin) * OldStride +
+                          OldMargin;
+      const SubgridView To = writableSubgrid(Id);
+      for (int R = 0; R != SubRows; ++R)
+        std::memcpy(To.row(R), From + static_cast<size_t>(R) * OldStride,
+                    static_cast<size_t>(SubCols) * sizeof(float));
+      poisonMargin(To);
+    }
+  } else if (FilledBorder > Border || (FilledCorners && !Corners)) {
+    // The previous exchange filled cells this one will not.
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id)
+      poisonMargin(writableSubgrid(Id));
+  }
+  FilledBorder = Border;
+  FilledCorners = Corners;
 }
 
 void DistributedArray::scatter(const Array2D &Global) {
@@ -45,9 +114,8 @@ void DistributedArray::scatterFrom(const void *Global) {
   const size_t RowBytes = static_cast<size_t>(SubCols) * sizeof(float);
   for (int GR = 0; GR != globalRows(); ++GR)
     for (int NC = 0; NC != Grid.cols(); ++NC, Src += RowBytes)
-      std::memcpy(subgrid({GR / SubRows, NC}).data() +
-                      static_cast<size_t>(GR % SubRows) * SubCols,
-                  Src, RowBytes);
+      std::memcpy(subgrid({GR / SubRows, NC}).row(GR % SubRows), Src,
+                  RowBytes);
 }
 
 void DistributedArray::gatherInto(void *Global) const {
@@ -55,9 +123,7 @@ void DistributedArray::gatherInto(void *Global) const {
   const size_t RowBytes = static_cast<size_t>(SubCols) * sizeof(float);
   for (int GR = 0; GR != globalRows(); ++GR)
     for (int NC = 0; NC != Grid.cols(); ++NC, Dst += RowBytes)
-      std::memcpy(Dst,
-                  subgrid({GR / SubRows, NC}).data() +
-                      static_cast<size_t>(GR % SubRows) * SubCols,
+      std::memcpy(Dst, subgrid({GR / SubRows, NC}).row(GR % SubRows),
                   RowBytes);
 }
 

@@ -11,7 +11,6 @@
 #include "obs/Trace.h"
 #include "runtime/FpuBinding.h"
 #include "runtime/HaloExchange.h"
-#include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 #include <algorithm>
 #include <cmath>
@@ -27,10 +26,10 @@ namespace {
 /// executed-op count for the cross-check against the analytic total.
 template <typename BindingT>
 long runStripsWithBinding(FloatingPointUnit &Fpu,
-                          const std::vector<const Array2D *> &PaddedSources,
-                          int Border, const StencilSpec &Spec,
-                          const std::vector<const Array2D *> &TapCoefficients,
-                          Array2D &Result,
+                          const std::vector<ConstSubgridView> &Sources,
+                          const StencilSpec &Spec,
+                          const std::vector<ConstSubgridView> &TapCoefficients,
+                          SubgridView Result,
                           const std::vector<Executor::PlannedStrip> &Plan) {
   long Ops = 0;
   for (const Executor::PlannedStrip &PS : Plan) {
@@ -43,11 +42,10 @@ long runStripsWithBinding(FloatingPointUnit &Fpu,
       Fpu.pokeRegister(W->Regs.unitRegister(), 1.0f);
 
     HalfStripOperands Operands;
-    Operands.PaddedSources = &PaddedSources;
-    Operands.Border = Border;
+    Operands.Sources = &Sources;
     Operands.Spec = &Spec;
     Operands.TapCoefficients = &TapCoefficients;
-    Operands.Result = &Result;
+    Operands.Result = Result;
     Operands.LeftCol = HS.LeftCol;
     BindingT Mem(Operands);
     // Lines are processed bottom to top; the prologue's offsets are
@@ -96,36 +94,26 @@ Executor::resolvedPlanFor(const CompiledStencil &Compiled, int SubRows,
 
 void Executor::runNode(const CompiledStencil &Compiled,
                        const ResolvedStencilArguments &Resolved,
-                       DistributedArray &ResultArray,
-                       const std::vector<std::vector<Array2D>> &PaddedBySource,
+                       const std::vector<ConstSubgridView> &Sources,
                        const std::vector<PlannedStrip> &Plan, NodeCoord Node,
-                       int Border, long *OpsExecuted) const {
+                       long *OpsExecuted) const {
   const StencilSpec &Spec = Compiled.Spec;
 
-  // The halo exchange already ran (every node exchanges simultaneously);
-  // pick this node's padded copy of each source.
-  const int NodeId = ResultArray.grid().nodeId(Node);
-  std::vector<const Array2D *> PaddedSources;
-  PaddedSources.reserve(Spec.sourceCount());
-  for (int S = 0; S != Spec.sourceCount(); ++S)
-    PaddedSources.push_back(&PaddedBySource[S][NodeId]);
-
   // Coefficient names were resolved once per run(); index, don't look up.
-  std::vector<const Array2D *> TapCoefficients(Spec.Taps.size(), nullptr);
+  std::vector<ConstSubgridView> TapCoefficients(Spec.Taps.size());
   for (size_t I = 0; I != Spec.Taps.size(); ++I)
     if (const DistributedArray *C = Resolved.TapCoefficients[I])
-      TapCoefficients[I] = &C->subgrid(Node);
+      TapCoefficients[I] = C->subgrid(Node);
 
-  Array2D &Result = ResultArray.subgrid(Node);
+  const SubgridView Result = Resolved.Result->subgrid(Node);
 
   FloatingPointUnit Fpu(Config);
   long Ops =
       Opts.UseFastPath
-          ? runStripsWithBinding<FastNodeBinding>(Fpu, PaddedSources, Border,
-                                                  Spec, TapCoefficients,
-                                                  Result, Plan)
-          : runStripsWithBinding<VirtualNodeBinding>(Fpu, PaddedSources,
-                                                     Border, Spec,
+          ? runStripsWithBinding<FastNodeBinding>(Fpu, Sources, Spec,
+                                                  TapCoefficients, Result,
+                                                  Plan)
+          : runStripsWithBinding<VirtualNodeBinding>(Fpu, Sources, Spec,
                                                      TapCoefficients, Result,
                                                      Plan);
   if (OpsExecuted)
@@ -180,22 +168,22 @@ Executor::tiledSteps(const CompiledStencil &Compiled,
 }
 
 void Executor::runNodeTiledStep(
-    const CompiledStencil &Compiled, const Array2D &In, Array2D &Out,
-    const std::vector<const Array2D *> &PaddedCoefficients,
-    const TiledStep &Step, NodeCoord Node, int Border, int CoeffBorder,
-    long *OpsExecuted) const {
+    const CompiledStencil &Compiled, ConstSubgridView In, Array2D &Out,
+    const std::vector<ConstSubgridView> &Coefficients, const TiledStep &Step,
+    NodeCoord Node, int Border, long *OpsExecuted) const {
   const StencilSpec &Spec = Compiled.Spec;
-  const int SubRows = In.rows() - 2 * Border;
-  const int SubCols = In.cols() - 2 * Border;
+  const int SubRows = In.rows();
+  const int SubCols = In.cols();
 
   // Fresh NaN fill each step: values outside the step's valid extension
   // must never be mistaken for data (the clamped binding's loads beyond
-  // the allocation return NaN for the same reason).
-  if (Out.rows() != In.rows() || Out.cols() != In.cols())
-    Out = Array2D(In.rows(), In.cols(),
+  // the margin return NaN for the same reason).
+  if (Out.rows() != SubRows + 2 * Border || Out.cols() != SubCols + 2 * Border)
+    Out = Array2D(SubRows + 2 * Border, SubCols + 2 * Border,
                   std::numeric_limits<float>::quiet_NaN());
   else
     Out.fill(std::numeric_limits<float>::quiet_NaN());
+  const SubgridView OutView = Out.view(Border);
 
   const int GlobalRow = Opts.Domain ? Opts.Domain->globalRow(Node.Row)
                                     : Node.Row;
@@ -215,15 +203,15 @@ void Executor::runNodeTiledStep(
   long Ops = 0;
   for (size_t I = 0; I != Regions.size(); ++I) {
     const timetile::OwnerRegion &Reg = Regions[I];
-    const int RowShift = Border + Reg.DR * SubRows;
-    const int ColShift = Border + Reg.DC * SubCols;
+    const int RowShift = Reg.DR * SubRows;
+    const int ColShift = Reg.DC * SubCols;
     if (Reg.ZeroMasked) {
       // The owner sits across a Zero (EOSHIFT) global edge: the cells
       // are identically zero at every step — written, never computed
       // (the SIMD machine still burns the cycles; see analyticCycles).
       for (int R = Reg.R0; R != Reg.R1; ++R)
         for (int C = Reg.C0; C != Reg.C1; ++C)
-          Out.at(R + RowShift, C + ColShift) = 0.0f;
+          OutView.at(R + RowShift, C + ColShift) = 0.0f;
       continue;
     }
     for (const PlannedStrip &PS : Step.Regions[I].Strips) {
@@ -234,16 +222,12 @@ void Executor::runNodeTiledStep(
         Fpu.pokeRegister(W->Regs.unitRegister(), 1.0f);
 
       ClampedRegionBinding::Operands Operands;
-      Operands.Input = &In;
-      Operands.InRow0 = RowShift;
-      Operands.InCol0 = ColShift;
+      Operands.Input = In;
       Operands.Spec = &Spec;
-      Operands.PaddedCoefficients = &PaddedCoefficients;
-      Operands.CoRow0 = RowShift - Border + CoeffBorder;
-      Operands.CoCol0 = ColShift - Border + CoeffBorder;
-      Operands.Output = &Out;
-      Operands.OutRow0 = RowShift;
-      Operands.OutCol0 = ColShift;
+      Operands.PaddedCoefficients = &Coefficients;
+      Operands.Output = OutView;
+      Operands.Row0 = RowShift;
+      Operands.Col0 = ColShift;
       Operands.LeftCol = PS.HS.LeftCol;
       Operands.KeepRow0 = Reg.R0;
       Operands.KeepRow1 = Reg.R1;
@@ -393,12 +377,9 @@ Executor::runResolved(const CompiledStencil &Compiled,
   const int K = RO.TimeTile;
   if (Error E = timetile::validateTimeTile(Spec, K, SubRows, SubCols))
     return E;
-  const int Radius = Spec.borderWidths().maximum();
   // One exchange at the widened border feeds K chained steps; the
-  // coefficient pads only need to reach the deepest intermediate
-  // extension, (K-1) x radius.
-  const int Border = K * Radius;
-  const int CoeffBorder = (K - 1) * Radius;
+  // tile scratch is padded as wide.
+  const int Border = K * Spec.borderWidths().maximum();
 
   // Plan the half-strips once per run: every node executes the same
   // plan (the machine is synchronous SIMD), and the cross-check below
@@ -429,69 +410,14 @@ Executor::runResolved(const CompiledStencil &Compiled,
     }
 
     // Step one of the run-time library: the halo exchange (the paper's
-    // three-step protocol), once per source array, all nodes at once.
-    // Tiled runs always fetch corners — intermediate side-pad values
-    // feed corner-adjacent cells of later steps even for cornerless
-    // stencils.
-    const bool FetchCorners =
-        K > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
-    auto Exchange = [&](const DistributedArray &A, int SourceIndex,
-                        int B) -> Expected<std::vector<Array2D>> {
-      // Probed per exchange step, not per run: any one of a run's
-      // exchanges can be lost. Failing before the compute loops means
-      // a failed run never leaves partial results — every retry starts
-      // from untouched sources.
-      if (fault::probe("halo.exchange"))
-        return fault::injectedFault("halo.exchange");
-      if (Opts.Domain)
-        return exchangeHalosPartitioned(A, *Opts.Domain, Opts.Transport,
-                                        SourceIndex, B, Spec.BoundaryDim1,
-                                        Spec.BoundaryDim2, FetchCorners,
-                                        Pool);
-      return exchangeHalos(A, B, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                           FetchCorners, Pool);
-    };
-    std::vector<std::vector<Array2D>> PaddedBySource;
-    PaddedBySource.reserve(Spec.sourceCount());
-    for (int S = 0; S != Spec.sourceCount(); ++S) {
-      Expected<std::vector<Array2D>> Padded =
-          Exchange(*Resolved.Sources[S], S, Border);
-      if (!Padded)
-        return Padded.error();
-      PaddedBySource.push_back(std::move(*Padded));
-    }
-
-    // Tiled runs also exchange each distinct coefficient array once:
-    // intermediate pad cells index coefficients at owner positions.
-    // Dedup by name in first-appearance tap order — deterministic
-    // across shard workers, and matching analyticCycles — with
-    // transport source indices following the real sources.
-    std::vector<std::vector<Array2D>> CoeffPadded;
-    std::vector<int> TapCoeffOrdinal(Spec.Taps.size(), -1);
-    if (K > 1) {
-      const std::vector<std::string> Names = Spec.coefficientArrayNames();
-      for (size_t I = 0; I != Spec.Taps.size(); ++I)
-        if (Spec.Taps[I].Coeff.isArray())
-          TapCoeffOrdinal[I] = static_cast<int>(
-              std::find(Names.begin(), Names.end(), Spec.Taps[I].Coeff.Name) -
-              Names.begin());
-      CoeffPadded.resize(Names.size());
-      for (size_t N = 0; N != Names.size(); ++N) {
-        const DistributedArray *C = nullptr;
-        for (size_t I = 0; I != Spec.Taps.size(); ++I)
-          if (TapCoeffOrdinal[I] == static_cast<int>(N)) {
-            C = Resolved.TapCoefficients[I];
-            break;
-          }
-        assert(C && "coefficient name resolved to no array");
-        Expected<std::vector<Array2D>> Padded =
-            Exchange(*C, Spec.sourceCount() + static_cast<int>(N),
-                     CoeffBorder);
-        if (!Padded)
-          return Padded.error();
-        CoeffPadded[N] = std::move(*Padded);
-      }
-    }
+    // three-step protocol), in place, all nodes at once. A failed
+    // exchange fails the run before the compute loops, so a failed run
+    // never leaves partial results.
+    Expected<RunHalos> Halos =
+        RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip,
+                           Opts.Domain, Opts.Transport);
+    if (!Halos)
+      return Halos.error();
 
     const NodeGrid &Grid = Resolved.Result->grid();
     std::vector<int> NodeIds;
@@ -502,45 +428,53 @@ Executor::runResolved(const CompiledStencil &Compiled,
     } else {
       NodeIds.push_back(0);
     }
+    auto TapCoefficientViews = [&](NodeCoord Node) {
+      std::vector<ConstSubgridView> Views(Spec.Taps.size());
+      for (size_t T = 0; T != Spec.Taps.size(); ++T)
+        if (const DistributedArray *C = Resolved.TapCoefficients[T])
+          Views[T] = C->subgrid(Node);
+      return Views;
+    };
 
     long TiledNode0Ops = 0;
-    std::vector<std::vector<Array2D>> FinalInput;
-    if (K == 1) {
-      FinalInput = std::move(PaddedBySource);
-    } else {
-      // K-1 intermediate steps through double-buffered wide scratch,
-      // then the final step writes the result subgrids directly. The
-      // parallelFor join between steps is the barrier: step s+1 reads
-      // only what step s finished writing.
-      std::vector<Array2D> Buffers[2];
+    // Tiled runs: K-1 intermediate steps through double-buffered wide
+    // scratch, then the final step writes the result subgrids directly.
+    // The parallelFor join between steps is the barrier: step s+1 reads
+    // only what step s finished writing.
+    std::vector<Array2D> Buffers[2];
+    if (K > 1) {
       Buffers[0].resize(static_cast<size_t>(Grid.nodeCount()));
       Buffers[1].resize(static_cast<size_t>(Grid.nodeCount()));
       for (size_t S = 0; S != Steps.size(); ++S) {
-        std::vector<Array2D> &In =
-            S == 0 ? PaddedBySource[0] : Buffers[(S - 1) & 1];
         std::vector<Array2D> &Out = Buffers[S & 1];
         Pool->parallelFor(static_cast<int>(NodeIds.size()), [&](int I) {
           const int Id = NodeIds[static_cast<size_t>(I)];
-          std::vector<const Array2D *> NodeCoeffs(Spec.Taps.size(), nullptr);
-          for (size_t T = 0; T != Spec.Taps.size(); ++T)
-            if (TapCoeffOrdinal[T] >= 0)
-              NodeCoeffs[T] = &CoeffPadded[static_cast<size_t>(
-                  TapCoeffOrdinal[T])][static_cast<size_t>(Id)];
-          runNodeTiledStep(Compiled, In[static_cast<size_t>(Id)],
-                           Out[static_cast<size_t>(Id)], NodeCoeffs,
-                           Steps[S], Grid.coordOf(Id), Border, CoeffBorder,
+          const NodeCoord Node = Grid.coordOf(Id);
+          const ConstSubgridView In =
+              S == 0 ? Resolved.Sources[0]->subgrid(Node)
+                     : Buffers[(S - 1) & 1][static_cast<size_t>(Id)].view(
+                           Border);
+          runNodeTiledStep(Compiled, In, Out[static_cast<size_t>(Id)],
+                           TapCoefficientViews(Node), Steps[S], Node, Border,
                            Id == 0 ? &TiledNode0Ops : nullptr);
         });
       }
-      FinalInput.resize(1);
-      FinalInput[0] = std::move(Buffers[(Steps.size() - 1) & 1]);
     }
 
     Pool->parallelFor(static_cast<int>(NodeIds.size()), [&](int I) {
       const int Id = NodeIds[static_cast<size_t>(I)];
+      const NodeCoord Node = Grid.coordOf(Id);
+      std::vector<ConstSubgridView> Sources;
+      if (K == 1)
+        for (const DistributedArray *S : Resolved.Sources)
+          Sources.push_back(S->subgrid(Node));
+      else
+        Sources.push_back(
+            Buffers[(Steps.size() - 1) & 1][static_cast<size_t>(Id)].view(
+                Border));
       long Ops = -1;
-      runNode(Compiled, Resolved, *Resolved.Result, FinalInput, Plan,
-              Grid.coordOf(Id), Border, Id == 0 ? &Ops : nullptr);
+      runNode(Compiled, Resolved, Sources, Plan, Node,
+              Id == 0 ? &Ops : nullptr);
       if (Id == 0)
         Node0Ops = TiledNode0Ops + Ops;
     });

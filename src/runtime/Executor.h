@@ -153,16 +153,14 @@ public:
   };
 
 private:
-  /// Runs one node's strips against the already-exchanged halos
-  /// (PaddedBySource[sourceIndex][nodeId]), each padded by \p Border.
-  /// Operand arrays come from \p Resolved — names were resolved once,
-  /// up front, in run().
+  /// Runs one node's strips against the already-exchanged halos: one
+  /// halo-padded view per source, by source index. Operand arrays come
+  /// from \p Resolved — names were resolved once, up front, in run().
   void runNode(const CompiledStencil &Compiled,
                const ResolvedStencilArguments &Resolved,
-               DistributedArray &ResultArray,
-               const std::vector<std::vector<Array2D>> &PaddedBySource,
+               const std::vector<ConstSubgridView> &Sources,
                const std::vector<PlannedStrip> &Plan, NodeCoord Node,
-               int Border, long *OpsExecuted) const;
+               long *OpsExecuted) const;
   std::vector<HalfStrip> planFor(const CompiledStencil &Compiled,
                                  int SubRows, int SubCols) const;
   std::vector<PlannedStrip> resolvedPlanFor(const CompiledStencil &Compiled,
@@ -192,13 +190,14 @@ private:
                                     int SubRows, int SubCols,
                                     int TimeTile) const;
   /// Executes one node's share of one intermediate tiled step: replays
-  /// each owner region's restricted strips against the node's wide
-  /// scratch via ClampedRegionBinding; zero-fills masked regions.
-  void runNodeTiledStep(const CompiledStencil &Compiled, const Array2D &In,
+  /// each owner region's restricted strips from \p In into the node's
+  /// wide scratch \p Out (padded by \p Border; NaN-filled first) via
+  /// ClampedRegionBinding; zero-fills masked regions.
+  void runNodeTiledStep(const CompiledStencil &Compiled, ConstSubgridView In,
                         Array2D &Out,
-                        const std::vector<const Array2D *> &PaddedCoefficients,
+                        const std::vector<ConstSubgridView> &Coefficients,
                         const TiledStep &Step, NodeCoord Node, int Border,
-                        int CoeffBorder, long *OpsExecuted) const;
+                        long *OpsExecuted) const;
 
   MachineConfig Config;
   Options Opts;

@@ -9,12 +9,12 @@
 /// sequencer's job in the real machine — in two interchangeable forms:
 ///
 ///   * VirtualNodeBinding implements the FpuMemoryInterface abstract
-///     interface and resolves every operand through Array2D::at. It is
+///     interface and resolves every operand through SubgridView::at. It is
 ///     the readable reference form, kept for tests.
 ///
 ///   * FastNodeBinding is a concrete (non-virtual) binding that resolves
 ///     each WidthSchedule operand class once per half-strip into flat
-///     arrays: padded-source row pointers with a common row stride,
+///     arrays: padded-source row pointers with their row strides,
 ///     per-tap coefficient-stream pointers or sign-folded scalar
 ///     immediates, and a result row pointer. FloatingPointUnit's
 ///     templated executeSequence then runs against it with every call
@@ -39,21 +39,20 @@
 namespace cmcc {
 
 /// The inputs shared by both binding forms: everything that identifies
-/// one half-strip's operands on one node.
+/// one half-strip's operands on one node. Every array is a view of the
+/// node's subgrid inside its padded storage.
 struct HalfStripOperands {
-  /// One halo-padded source subgrid per source array (all padded by the
-  /// same border, so all share one shape).
-  const std::vector<const Array2D *> *PaddedSources = nullptr;
-  int Border = 0;
+  /// One halo-padded source subgrid per source array.
+  const std::vector<ConstSubgridView> *Sources = nullptr;
   const StencilSpec *Spec = nullptr;
-  /// Parallel to Spec->Taps; null for scalar coefficients.
-  const std::vector<const Array2D *> *TapCoefficients = nullptr;
-  Array2D *Result = nullptr;
+  /// Parallel to Spec->Taps; empty views for scalar coefficients.
+  const std::vector<ConstSubgridView> *TapCoefficients = nullptr;
+  SubgridView Result;
   int LeftCol = 0;
 };
 
 /// Reference binding: resolves operands through the virtual
-/// FpuMemoryInterface, one Array2D::at per access.
+/// FpuMemoryInterface, one SubgridView::at per access.
 class VirtualNodeBinding : public FpuMemoryInterface {
 public:
   explicit VirtualNodeBinding(const HalfStripOperands &O) : O(O) {}
@@ -61,21 +60,20 @@ public:
   void setLine(int Row) { AbsRow = Row; }
 
   float loadData(int Source, int Dy, int Dx) override {
-    return (*O.PaddedSources)[Source]->at(AbsRow + Dy + O.Border,
-                                          O.LeftCol + Dx + O.Border);
+    return (*O.Sources)[Source].at(AbsRow + Dy, O.LeftCol + Dx);
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) override {
     const Tap &T = O.Spec->Taps[TapIndex];
     float C = T.Coeff.isArray()
-                  ? (*O.TapCoefficients)[TapIndex]->at(AbsRow,
-                                                       O.LeftCol + ResultIndex)
+                  ? (*O.TapCoefficients)[TapIndex].at(AbsRow,
+                                                      O.LeftCol + ResultIndex)
                   : static_cast<float>(T.Coeff.Value);
     return static_cast<float>(T.Sign) * C;
   }
 
   void storeResult(int ResultIndex, float Value) override {
-    O.Result->at(AbsRow, O.LeftCol + ResultIndex) = Value;
+    O.Result.at(AbsRow, O.LeftCol + ResultIndex) = Value;
   }
 
 private:
@@ -85,14 +83,15 @@ private:
 
 /// Owner-region binding for time-tiled intermediate steps: executes one
 /// *owner* node's half-strip at owner-relative positions against this
-/// node's wide-padded scratch arrays (runtime/TimeTile.h). Coordinates
-/// stay in owner subgrid space; the binding translates them through the
-/// per-array origin offsets. Two clamps make full-width strip replay
+/// node's wide-padded arrays (runtime/TimeTile.h). Coordinates stay in
+/// owner subgrid space; the binding translates them by the owner's
+/// offset from this node. Two clamps make full-width strip replay
 /// safe:
 ///
-///   * loads falling outside an array's allocation (a full-width owner
-///     strip can reach beyond the scratch pad) return NaN — such values
-///     only ever feed result columns outside the kept window;
+///   * loads falling outside an array's subgrid and margin (a
+///     full-width owner strip can reach beyond the pad) return NaN —
+///     such values only ever feed result columns outside the kept
+///     window;
 ///   * stores land only inside the kept owner-space window; everything
 ///     else is dropped (but still *counted* as executed, matching the
 ///     SIMD machine, where deselected processors burn the cycles).
@@ -102,21 +101,18 @@ private:
 /// to the owner's step-by-step results.
 class ClampedRegionBinding {
 public:
-  /// Owner cell (r, c) reads input at (r + InRow0, c + InCol0), reads
-  /// tap I's coefficient at (r + CoRow0, c + CoCol0) of
-  /// PaddedCoefficients[I], and writes output at (r + OutRow0,
-  /// c + OutCol0). Kept window [KeepRow0, KeepRow1) x [KeepCol0,
-  /// KeepCol1) is in owner space.
+  /// Owner cell (r, c) sits at (r + Row0, c + Col0) of this node's
+  /// subgrid: it reads Input there, tap I's coefficient there in
+  /// PaddedCoefficients[I], and writes Output there. Kept window
+  /// [KeepRow0, KeepRow1) x [KeepCol0, KeepCol1) is in owner space.
   struct Operands {
-    const Array2D *Input = nullptr;
-    int InRow0 = 0, InCol0 = 0;
+    ConstSubgridView Input;
     const StencilSpec *Spec = nullptr;
-    /// Parallel to Spec->Taps; null for scalar coefficients. Entries
-    /// are *padded* coefficient subgrids (border (k-1) x radius).
-    const std::vector<const Array2D *> *PaddedCoefficients = nullptr;
-    int CoRow0 = 0, CoCol0 = 0;
-    Array2D *Output = nullptr;
-    int OutRow0 = 0, OutCol0 = 0;
+    /// Parallel to Spec->Taps; empty for scalar coefficients. Each
+    /// coefficient's margin reaches at least (k-1) x radius.
+    const std::vector<ConstSubgridView> *PaddedCoefficients = nullptr;
+    SubgridView Output;
+    int Row0 = 0, Col0 = 0;
     int LeftCol = 0;
     int KeepRow0 = 0, KeepRow1 = 0, KeepCol0 = 0, KeepCol1 = 0;
   };
@@ -127,16 +123,16 @@ public:
 
   float loadData(int Source, int Dy, int Dx) {
     (void)Source; // Depths > 1 imply a single source (validated).
-    return clampedAt(*O.Input, AbsRow + Dy + O.InRow0,
-                     O.LeftCol + Dx + O.InCol0);
+    return clampedAt(O.Input, AbsRow + Dy + O.Row0,
+                     O.LeftCol + Dx + O.Col0);
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) {
     const Tap &T = O.Spec->Taps[TapIndex];
     float C = T.Coeff.isArray()
-                  ? clampedAt(*(*O.PaddedCoefficients)[TapIndex],
-                              AbsRow + O.CoRow0,
-                              O.LeftCol + ResultIndex + O.CoCol0)
+                  ? clampedAt((*O.PaddedCoefficients)[TapIndex],
+                              AbsRow + O.Row0,
+                              O.LeftCol + ResultIndex + O.Col0)
                   : static_cast<float>(T.Coeff.Value);
     return static_cast<float>(T.Sign) * C;
   }
@@ -146,12 +142,12 @@ public:
     if (AbsRow < O.KeepRow0 || AbsRow >= O.KeepRow1 || Col < O.KeepCol0 ||
         Col >= O.KeepCol1)
       return;
-    O.Output->at(AbsRow + O.OutRow0, Col + O.OutCol0) = Value;
+    O.Output.at(AbsRow + O.Row0, Col + O.Col0) = Value;
   }
 
 private:
-  static float clampedAt(const Array2D &A, int R, int C) {
-    if (R < 0 || R >= A.rows() || C < 0 || C >= A.cols())
+  static float clampedAt(ConstSubgridView A, int R, int C) {
+    if (!A.contains(R, C))
       return std::numeric_limits<float>::quiet_NaN();
     return A.at(R, C);
   }
@@ -169,7 +165,7 @@ public:
   void setLine(int Row);
 
   float loadData(int Source, int Dy, int Dx) {
-    return SourceRows[Source][Dy * SourceStride + Dx];
+    return SourceRows[Source][Dy * SourceStrides[Source] + Dx];
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) {
@@ -194,12 +190,11 @@ private:
     float Immediate = 0.0f;
   };
 
-  /// Per source: padded base translated so that index 0 is the element
-  /// at (Border, LeftCol + Border) of the padded array — i.e. (0,
-  /// LeftCol) of the subgrid.
+  /// Per source: the element at (0, LeftCol) of the subgrid, and its
+  /// row stride.
   std::vector<const float *> SourceOrigins;
   std::vector<const float *> SourceRows;
-  int SourceStride = 0;
+  std::vector<int> SourceStrides;
   std::vector<TapStream> Taps;
   float *ResultBase = nullptr;
   float *ResultRow = nullptr;

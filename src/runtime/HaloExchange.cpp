@@ -7,33 +7,54 @@
 #include "runtime/HaloExchange.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
-#include <functional>
-#include <limits>
+#include "support/FaultInjection.h"
+#include <algorithm>
+#include <cstring>
 
 using namespace cmcc;
+
+void cmcc::exchangeHalosInPlace(const DistributedArray &A, int Border,
+                                BoundaryKind BoundaryDim1,
+                                BoundaryKind BoundaryDim2,
+                                bool FetchCorners) {
+  [[maybe_unused]] Error E = exchangeHalosPartitioned(
+      A, PartitionDomain::whole(A.grid().rows(), A.grid().cols()),
+      /*Transport=*/nullptr, /*SourceIndex=*/0, Border, BoundaryDim1,
+      BoundaryDim2, FetchCorners);
+  // The whole-grid domain never touches a transport, so the partitioned
+  // protocol cannot fail here.
+  assert(!E && "whole-grid halo exchange failed");
+}
 
 std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
                                          int Border,
                                          BoundaryKind BoundaryDim1,
                                          BoundaryKind BoundaryDim2,
-                                         bool FetchCorners,
-                                         ThreadPool *Pool) {
-  Expected<std::vector<Array2D>> Padded = exchangeHalosPartitioned(
-      A, PartitionDomain::whole(A.grid().rows(), A.grid().cols()),
-      /*Transport=*/nullptr, /*SourceIndex=*/0, Border, BoundaryDim1,
-      BoundaryDim2, FetchCorners, Pool);
-  // The whole-grid domain never touches a transport, so the partitioned
-  // protocol cannot fail here.
-  assert(Padded && "whole-grid halo exchange failed");
-  return std::move(*Padded);
+                                         bool FetchCorners, ThreadPool *) {
+  const std::unique_lock<std::mutex> Lock = A.lockHalo();
+  exchangeHalosInPlace(A, Border, BoundaryDim1, BoundaryDim2, FetchCorners);
+  const NodeGrid &Grid = A.grid();
+  const int Cols = A.subCols() + 2 * Border;
+  std::vector<Array2D> Padded;
+  Padded.reserve(Grid.nodeCount());
+  for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+    Array2D P(A.subRows() + 2 * Border, Cols);
+    const ConstSubgridView V = A.subgrid(Grid.coordOf(Id));
+    for (int R = -Border; R != A.subRows() + Border; ++R)
+      std::memcpy(P.view(Border).row(R) - Border, V.row(R) - Border,
+                  static_cast<size_t>(Cols) * sizeof(float));
+    Padded.push_back(std::move(P));
+  }
+  return Padded;
 }
 
-Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
-    const DistributedArray &A, const PartitionDomain &Domain,
-    HaloTransport *Transport, int SourceIndex, int Border,
-    BoundaryKind BoundaryDim1, BoundaryKind BoundaryDim2, bool FetchCorners,
-    ThreadPool *Pool) {
+Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
+                                     const PartitionDomain &Domain,
+                                     HaloTransport *Transport,
+                                     int SourceIndex, int Border,
+                                     BoundaryKind BoundaryDim1,
+                                     BoundaryKind BoundaryDim2,
+                                     bool FetchCorners) {
   CMCC_SPAN("halo.exchange");
   static obs::Counter &Exchanges =
       obs::Registry::process().counter("halo.exchanges");
@@ -46,7 +67,6 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   const int B = Border;
   assert(B >= 0 && B <= SR && B <= SC &&
          "border width exceeds the subgrid");
-  const float Nan = std::numeric_limits<float>::quiet_NaN();
 
   // A split axis moves its block edges through the transport; an axis
   // the domain spans entirely wraps locally (the local torus is the
@@ -54,41 +74,24 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   // in-process protocol, transport never consulted).
   const bool RemoteWE = !Domain.spansAllCols();
   const bool RemoteNS = !Domain.spansAllRows();
-  assert((!RemoteWE && !RemoteNS) || Transport != nullptr
-             ? true
-             : (RemoteWE || RemoteNS) == (Transport != nullptr));
   assert((!(RemoteWE || RemoteNS) || Transport) &&
          "split domain requires a transport");
 
-  // Every node performs each step simultaneously on the machine; on the
-  // host each step fans out over the pool, and the join between steps
-  // is the barrier the protocol needs (step 3 reads side pads written
-  // in step 2). Within a step, node Id writes only Padded[Id] regions
-  // that no other node reads during that same step.
-  auto ForEachNode = [&](const std::function<void(int)> &Fn) {
-    if (Pool)
-      Pool->parallelFor(Grid.nodeCount(), Fn);
-    else
-      for (int Id = 0; Id != Grid.nodeCount(); ++Id)
-        Fn(Id);
-  };
-
-  // Step 1: temporary storage, own subgrid in the center. Unwritten pad
-  // cells stay poisoned so mistakes are loud.
-  std::vector<Array2D> Padded(Grid.nodeCount());
-  {
-    CMCC_SPAN("halo.step1_copy");
-    ForEachNode([&](int Id) {
-      Array2D P(SR + 2 * B, SC + 2 * B, B > 0 ? Nan : 0.0f);
-      const Array2D &Own = A.subgrid(Grid.coordOf(Id));
-      for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != SC; ++C)
-          P.at(R + B, C + B) = Own.at(R, C);
-      Padded[Id] = std::move(P);
-    });
-  }
+  // Step 1: a margin wide enough, NaN wherever this exchange will not
+  // write.
+  A.prepareMargin(B, FetchCorners);
   if (B == 0)
-    return Padded;
+    return Error::success();
+  auto Sub = [&](NodeCoord C) { return A.writableSubgrid(Grid.nodeId(C)); };
+  // One band row piece: B floats in step 2, ShipCols in step 3, from
+  // a neighbor's row, from a transport block, or zeros across a Zero
+  // (EOSHIFT) global edge.
+  auto Put = [](float *Dst, const float *Src, int Count) {
+    if (Src)
+      std::memcpy(Dst, Src, static_cast<size_t>(Count) * sizeof(float));
+    else
+      std::fill_n(Dst, Count, 0.0f);
+  };
 
   // Step 2: every node exchanges its edge columns with its West and
   // East neighbors simultaneously. On a split axis the block-edge
@@ -105,15 +108,13 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       Out.Low.resize(BlockFloats);
       Out.High.resize(BlockFloats);
       for (int LR = 0; LR != Domain.LocalRows; ++LR) {
-        const Array2D &WestEdge = A.subgrid({LR, 0});
-        const Array2D &EastEdge = A.subgrid({LR, Grid.cols() - 1});
-        for (int R = 0; R != SR; ++R)
-          for (int C = 0; C != B; ++C) {
-            const size_t At =
-                (static_cast<size_t>(LR) * SR + R) * B + C;
-            Out.Low[At] = WestEdge.at(R, C);
-            Out.High[At] = EastEdge.at(R, SC - B + C);
-          }
+        const SubgridView WestEdge = Sub({LR, 0});
+        const SubgridView EastEdge = Sub({LR, Grid.cols() - 1});
+        for (int R = 0; R != SR; ++R) {
+          const size_t At = (static_cast<size_t>(LR) * SR + R) * B;
+          Put(&Out.Low[At], WestEdge.row(R), B);
+          Put(&Out.High[At], EastEdge.row(R) + SC - B, B);
+        }
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::WestEast, Out);
@@ -125,44 +126,35 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
             "halo transport returned a west/east block of the wrong size");
     }
 
-    ForEachNode([&](int Id) {
-      NodeCoord Here = Grid.coordOf(Id);
-      Array2D &P = Padded[Id];
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+      const NodeCoord Here = Grid.coordOf(Id);
+      const SubgridView P = A.writableSubgrid(Id);
+      const size_t InRow0 = static_cast<size_t>(Here.Row) * SR;
 
       // West pad <- west neighbor's rightmost core columns.
-      bool CrossW = Domain.globalCol(Here.Col) == 0;
-      const Array2D *WestSub =
-          (RemoteWE && Here.Col == 0)
-              ? nullptr
-              : &A.subgrid(Grid.neighbor(Here, Direction::West));
-      for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != B; ++C)
-          P.at(R + B, C) =
-              (CrossW && BoundaryDim2 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (WestSub
-                         ? WestSub->at(R, SC - B + C)
-                         : In.Low[(static_cast<size_t>(Here.Row) * SR + R) *
-                                      B +
-                                  C]);
-
+      const bool ZeroW = Domain.globalCol(Here.Col) == 0 &&
+                         BoundaryDim2 == BoundaryKind::Zero;
+      const bool FromInW = RemoteWE && Here.Col == 0;
+      const SubgridView West = Sub(Grid.neighbor(Here, Direction::West));
       // East pad <- east neighbor's leftmost core columns.
-      bool CrossE = Domain.globalCol(Here.Col) == Domain.GlobalCols - 1;
-      const Array2D *EastSub =
-          (RemoteWE && Here.Col == Grid.cols() - 1)
-              ? nullptr
-              : &A.subgrid(Grid.neighbor(Here, Direction::East));
-      for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != B; ++C)
-          P.at(R + B, SC + B + C) =
-              (CrossE && BoundaryDim2 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (EastSub
-                         ? EastSub->at(R, C)
-                         : In.High[(static_cast<size_t>(Here.Row) * SR + R) *
-                                       B +
-                                   C]);
-    });
+      const bool ZeroE =
+          Domain.globalCol(Here.Col) == Domain.GlobalCols - 1 &&
+          BoundaryDim2 == BoundaryKind::Zero;
+      const bool FromInE = RemoteWE && Here.Col == Grid.cols() - 1;
+      const SubgridView East = Sub(Grid.neighbor(Here, Direction::East));
+      for (int R = 0; R != SR; ++R) {
+        Put(P.row(R) - B,
+            ZeroW     ? nullptr
+            : FromInW ? &In.Low[(InRow0 + R) * B]
+                      : West.row(R) + SC - B,
+            B);
+        Put(P.row(R) + SC,
+            ZeroE     ? nullptr
+            : FromInE ? &In.High[(InRow0 + R) * B]
+                      : East.row(R),
+            B);
+      }
+    }
   }
 
   // Step 3: exchange edge rows with the North and South neighbors. The
@@ -174,13 +166,11 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   // (§5.1's skipped third step) — on a split axis those columns never
   // enter the transport blocks at all. A node writes its own top and
   // bottom pad rows and reads its neighbors' *core* edge rows (B <= SR
-  // keeps the two disjoint), so the nodes of this step are independent
-  // too.
-  const int ColBegin = FetchCorners ? 0 : B;
-  const int ColEnd = FetchCorners ? SC + 2 * B : SC + B;
+  // keeps the two disjoint), so the order nodes go in does not matter.
+  const int Col0 = FetchCorners ? -B : 0;
+  const int ShipCols = FetchCorners ? SC + 2 * B : SC;
   {
     CMCC_SPAN("halo.step3_ns");
-    const int ShipCols = ColEnd - ColBegin;
     HaloBlocks In;
     if (RemoteNS) {
       const size_t BlockFloats =
@@ -189,15 +179,13 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       Out.Low.resize(BlockFloats);
       Out.High.resize(BlockFloats);
       for (int LC = 0; LC != Domain.LocalCols; ++LC) {
-        const Array2D &NorthEdge = Padded[Grid.nodeId({0, LC})];
-        const Array2D &SouthEdge = Padded[Grid.nodeId({Grid.rows() - 1, LC})];
-        for (int R = 0; R != B; ++R)
-          for (int C = ColBegin; C != ColEnd; ++C) {
-            const size_t At = (static_cast<size_t>(LC) * B + R) * ShipCols +
-                              (C - ColBegin);
-            Out.Low[At] = NorthEdge.at(B + R, C);
-            Out.High[At] = SouthEdge.at(SR + R, C);
-          }
+        const SubgridView NorthEdge = Sub({0, LC});
+        const SubgridView SouthEdge = Sub({Grid.rows() - 1, LC});
+        for (int R = 0; R != B; ++R) {
+          const size_t At = (static_cast<size_t>(LC) * B + R) * ShipCols;
+          Put(&Out.Low[At], NorthEdge.row(R) + Col0, ShipCols);
+          Put(&Out.High[At], SouthEdge.row(SR - B + R) + Col0, ShipCols);
+        }
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::NorthSouth, Out);
@@ -209,44 +197,102 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
             "halo transport returned a north/south block of the wrong size");
     }
 
-    ForEachNode([&](int Id) {
-      NodeCoord Here = Grid.coordOf(Id);
-      Array2D &P = Padded[Id];
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+      const NodeCoord Here = Grid.coordOf(Id);
+      const SubgridView P = A.writableSubgrid(Id);
+      const size_t InRow0 = static_cast<size_t>(Here.Col) * B;
 
       // North pad <- north neighbor's bottommost core rows (with pads).
-      bool CrossN = Domain.globalRow(Here.Row) == 0;
-      const Array2D *NorthP =
-          (RemoteNS && Here.Row == 0)
-              ? nullptr
-              : &Padded[Grid.nodeId(Grid.neighbor(Here, Direction::North))];
-      for (int R = 0; R != B; ++R)
-        for (int C = ColBegin; C != ColEnd; ++C)
-          P.at(R, C) =
-              (CrossN && BoundaryDim1 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (NorthP
-                         ? NorthP->at(SR + R, C)
-                         : In.Low[(static_cast<size_t>(Here.Col) * B + R) *
-                                      ShipCols +
-                                  (C - ColBegin)]);
-
+      const bool ZeroN = Domain.globalRow(Here.Row) == 0 &&
+                         BoundaryDim1 == BoundaryKind::Zero;
+      const bool FromInN = RemoteNS && Here.Row == 0;
+      const SubgridView North = Sub(Grid.neighbor(Here, Direction::North));
       // South pad <- south neighbor's topmost core rows (with pads).
-      bool CrossS = Domain.globalRow(Here.Row) == Domain.GlobalRows - 1;
-      const Array2D *SouthP =
-          (RemoteNS && Here.Row == Grid.rows() - 1)
-              ? nullptr
-              : &Padded[Grid.nodeId(Grid.neighbor(Here, Direction::South))];
-      for (int R = 0; R != B; ++R)
-        for (int C = ColBegin; C != ColEnd; ++C)
-          P.at(SR + B + R, C) =
-              (CrossS && BoundaryDim1 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (SouthP
-                         ? SouthP->at(B + R, C)
-                         : In.High[(static_cast<size_t>(Here.Col) * B + R) *
-                                       ShipCols +
-                                   (C - ColBegin)]);
-    });
+      const bool ZeroS =
+          Domain.globalRow(Here.Row) == Domain.GlobalRows - 1 &&
+          BoundaryDim1 == BoundaryKind::Zero;
+      const bool FromInS = RemoteNS && Here.Row == Grid.rows() - 1;
+      const SubgridView South = Sub(Grid.neighbor(Here, Direction::South));
+      for (int R = 0; R != B; ++R) {
+        Put(P.row(R - B) + Col0,
+            ZeroN     ? nullptr
+            : FromInN ? &In.Low[(InRow0 + R) * ShipCols]
+                      : North.row(SR - B + R) + Col0,
+            ShipCols);
+        Put(P.row(SR + R) + Col0,
+            ZeroS     ? nullptr
+            : FromInS ? &In.High[(InRow0 + R) * ShipCols]
+                      : South.row(R) + Col0,
+            ShipCols);
+      }
+    }
   }
-  return Padded;
+  return Error::success();
+}
+
+Expected<RunHalos>
+RunHalos::exchange(const StencilSpec &Spec,
+                   const ResolvedStencilArguments &Resolved, int TimeTile,
+                   bool AllowCornerSkip, const PartitionDomain *Domain,
+                   HaloTransport *Transport) {
+  const bool FetchCorners =
+      TimeTile > 1 || Spec.needsCornerData() || !AllowCornerSkip;
+  const int Radius = Spec.borderWidths().maximum();
+  const int Border = TimeTile * Radius;
+  const int CoeffBorder = (TimeTile - 1) * Radius;
+
+  // (array, border, transport source index) in exchange order.
+  struct Planned {
+    const DistributedArray *A;
+    int Border;
+    int SourceIndex;
+  };
+  std::vector<Planned> Plan;
+  for (int S = 0; S != Spec.sourceCount(); ++S)
+    Plan.push_back({Resolved.Sources[S], Border, S});
+  if (TimeTile > 1) {
+    const std::vector<std::string> Names = Spec.coefficientArrayNames();
+    for (size_t N = 0; N != Names.size(); ++N) {
+      const DistributedArray *C = nullptr;
+      for (size_t I = 0; I != Spec.Taps.size() && !C; ++I)
+        if (Spec.Taps[I].Coeff.isArray() &&
+            Spec.Taps[I].Coeff.Name == Names[N])
+          C = Resolved.TapCoefficients[I];
+      assert(C && "coefficient name resolved to no array");
+      // Re-exchanging a source at the narrower coefficient border would
+      // poison the wider band the source's readers need.
+      const bool IsSource =
+          std::find(Resolved.Sources.begin(), Resolved.Sources.end(), C) !=
+          Resolved.Sources.end();
+      Plan.push_back({C, IsSource ? Border : CoeffBorder,
+                      Spec.sourceCount() + static_cast<int>(N)});
+    }
+  }
+
+  // Lock every distinct array the run reads, exchanged or not (another
+  // run's exchange may regrow its storage), once each and in address
+  // order, so runs sharing arrays cannot deadlock.
+  std::vector<const DistributedArray *> Arrays(Resolved.Sources);
+  for (const DistributedArray *C : Resolved.TapCoefficients)
+    if (C)
+      Arrays.push_back(C);
+  std::sort(Arrays.begin(), Arrays.end());
+  Arrays.erase(std::unique(Arrays.begin(), Arrays.end()), Arrays.end());
+  RunHalos Halos;
+  for (const DistributedArray *A : Arrays)
+    Halos.Locks.push_back(A->lockHalo());
+
+  const PartitionDomain Whole = PartitionDomain::whole(
+      Resolved.Result->grid().rows(), Resolved.Result->grid().cols());
+  for (const Planned &P : Plan) {
+    // Probed per exchange step, not per run: any one of a run's
+    // exchanges can be lost.
+    if (fault::probe("halo.exchange"))
+      return fault::injectedFault("halo.exchange");
+    if (Error E = exchangeHalosPartitioned(
+            *P.A, Domain ? *Domain : Whole, Transport, P.SourceIndex,
+            P.Border, Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
+      return E;
+  }
+  return Halos;
 }

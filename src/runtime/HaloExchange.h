@@ -6,10 +6,13 @@
 ///
 /// \file
 /// The interprocessor communication step of §5.1, implemented as the
-/// protocol the paper describes rather than by global-index gathering:
+/// protocol the paper describes rather than by global-index gathering,
+/// writing straight into each subgrid's own halo margin
+/// (runtime/DistributedArray.h):
 ///
-///   1. temporary storage is allocated, padded on all four sides by the
-///      maximum border width, and the node's own subgrid copied in;
+///   1. the margin is made wide enough for the border (it grows on
+///      demand, once, and keeps its NaN poison wherever this exchange
+///      does not write);
 ///   2. data is exchanged with all four neighbors at once — the
 ///      West/East edge columns move first;
 ///   3. a second exchange moves the North/South edge rows *including
@@ -22,7 +25,9 @@
 ///
 /// Every node performs the same steps simultaneously (the machine is
 /// synchronous SIMD), so the protocol is computed for all nodes in one
-/// call. The result is bit-identical to the direct global-torus
+/// call, on the calling thread: each step copies only border bands,
+/// one row piece at a time, which is cheaper done in place than fanned
+/// out. The result is bit-identical to the direct global-torus
 /// construction in buildPaddedSubgrid — a property the tests enforce —
 /// but the data really moves neighbor to neighbor here.
 ///
@@ -30,39 +35,34 @@
 /// the node grid (runtime/Partition.h) performs the same steps over its
 /// local nodes and moves the block-edge traffic through a HaloTransport
 /// instead of reading neighbor subgrids directly. The whole-grid domain
-/// with no transport is exactly the in-process path — exchangeHalos
-/// below delegates to it — so the sharded and unsharded exchanges are
-/// one implementation, not two that can drift.
+/// with no transport is exactly the in-process path —
+/// exchangeHalosInPlace below delegates to it — so the sharded and
+/// unsharded exchanges are one implementation, not two that can drift.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMCC_RUNTIME_HALOEXCHANGE_H
 #define CMCC_RUNTIME_HALOEXCHANGE_H
 
+#include "runtime/Backend.h"
 #include "runtime/DistributedArray.h"
 #include "runtime/HaloTransport.h"
 #include "runtime/Partition.h"
 #include "support/Error.h"
+#include <mutex>
 #include <vector>
 
 namespace cmcc {
 
 class ThreadPool;
 
-/// Performs the three-step exchange for every node of \p A at once.
-/// Returns one padded subgrid per node, indexed by NodeGrid::nodeId.
-///
-/// With \p Pool, each step fans its per-node work out over the pool —
-/// the steps mirror the machine's simultaneous exchanges, so within a
-/// step every node touches only data no other node writes; the
-/// barrier between steps is the parallelFor join. Results are bitwise
-/// identical for any thread count (and to the serial Pool == nullptr
-/// form).
-std::vector<Array2D> exchangeHalos(const DistributedArray &A, int Border,
-                                   BoundaryKind BoundaryDim1,
-                                   BoundaryKind BoundaryDim2,
-                                   bool FetchCorners,
-                                   ThreadPool *Pool = nullptr);
+/// Performs the three-step exchange for every node of \p A at once,
+/// writing the border bands into A's margin (see the file comment).
+/// The caller holds A.lockHalo() if other runs may exchange A
+/// concurrently.
+void exchangeHalosInPlace(const DistributedArray &A, int Border,
+                          BoundaryKind BoundaryDim1,
+                          BoundaryKind BoundaryDim2, bool FetchCorners);
 
 /// The same protocol over one shard's node block. \p A holds only the
 /// local block (its grid shape must equal the domain's local shape);
@@ -73,11 +73,47 @@ std::vector<Array2D> exchangeHalos(const DistributedArray &A, int Border,
 /// SourceIndex tags the transport calls so a multi-source job's
 /// exchanges stay matched across shards. Fails only on transport
 /// failures (lost worker, injected fault); those are transient.
-Expected<std::vector<Array2D>> exchangeHalosPartitioned(
-    const DistributedArray &A, const PartitionDomain &Domain,
-    HaloTransport *Transport, int SourceIndex, int Border,
-    BoundaryKind BoundaryDim1, BoundaryKind BoundaryDim2, bool FetchCorners,
-    ThreadPool *Pool = nullptr);
+Error exchangeHalosPartitioned(const DistributedArray &A,
+                               const PartitionDomain &Domain,
+                               HaloTransport *Transport, int SourceIndex,
+                               int Border, BoundaryKind BoundaryDim1,
+                               BoundaryKind BoundaryDim2, bool FetchCorners);
+
+/// exchangeHalosInPlace, then one padded copy per node, indexed by
+/// NodeGrid::nodeId: the node's subgrid with \p Border cells of halo
+/// on every side. Kept for callers that want the copies; no backend
+/// uses it. \p Pool is accepted for compatibility and unused — the
+/// exchange runs on the calling thread.
+std::vector<Array2D> exchangeHalos(const DistributedArray &A, int Border,
+                                   BoundaryKind BoundaryDim1,
+                                   BoundaryKind BoundaryDim2,
+                                   bool FetchCorners,
+                                   ThreadPool *Pool = nullptr);
+
+/// The halo exchanges of one run, in place, in the order every backend
+/// and shard worker makes them: each source at TimeTile x radius, then,
+/// for tiled runs, each distinct coefficient array by name in
+/// first-appearance tap order at (TimeTile - 1) x radius (intermediate
+/// pad cells multiply by the *owner's* coefficients), transport source
+/// indices following the sources'. A coefficient array that is also a
+/// source keeps the source's wider border. Corners are fetched when the
+/// stencil reads diagonal data, when \p AllowCornerSkip is off, and
+/// always for tiled runs (intermediate side-pad values feed
+/// corner-adjacent cells of later steps). A null \p Domain is the whole
+/// grid. Each exchange probes the "halo.exchange" fault site first, so
+/// a failed run fails before its compute writes anything. Holds the
+/// halo lock of every source and coefficient array while alive: keep it
+/// until the compute that reads them ends.
+class RunHalos {
+public:
+  static Expected<RunHalos>
+  exchange(const StencilSpec &Spec, const ResolvedStencilArguments &Resolved,
+           int TimeTile, bool AllowCornerSkip, const PartitionDomain *Domain,
+           HaloTransport *Transport);
+
+private:
+  std::vector<std::unique_lock<std::mutex>> Locks;
+};
 
 } // namespace cmcc
 

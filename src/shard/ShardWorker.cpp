@@ -167,13 +167,15 @@ Error streamSubgrids(ShmRing &Ring, RingDir Dir, const DistributedArray &A,
   const NodeGrid &Grid = A.grid();
   for (int Id = 0; Id < Grid.nodeCount(); ++Id) {
     const NodeCoord At = Grid.coordOf(Id);
-    const size_t Count =
-        static_cast<size_t>(A.subRows()) * static_cast<size_t>(A.subCols());
     if (Writing) {
-      if (Error E = Ring.writeFloats(Dir, A.subgrid(At).data(), Count))
+      const ConstSubgridView V = A.subgrid(At);
+      if (Error E = Ring.writeRows(Dir, V.data(), V.rows(), V.cols(),
+                                   V.stride()))
         return E;
     } else {
-      if (Error E = Ring.readFloats(Dir, Dst->subgrid(At).data(), Count))
+      const SubgridView V = Dst->subgrid(At);
+      if (Error E =
+              Ring.readRows(Dir, V.data(), V.rows(), V.cols(), V.stride()))
         return E;
     }
   }

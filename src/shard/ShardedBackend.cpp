@@ -408,9 +408,10 @@ Error ShardedBackend::scatterArray(Worker &W, uint32_t Slot,
   // the worker fills its subgrids in.
   for (int LR = 0; LR != W.Domain.LocalRows; ++LR)
     for (int LC = 0; LC != W.Domain.LocalCols; ++LC) {
-      const NodeCoord At{W.Domain.globalRow(LR), W.Domain.globalCol(LC)};
-      if (Error E = W.Ring.writeFloats(RingDir::ToWorker,
-                                       A.subgrid(At).data(), PerNode))
+      const ConstSubgridView V =
+          A.subgrid({W.Domain.globalRow(LR), W.Domain.globalCol(LC)});
+      if (Error E = W.Ring.writeRows(RingDir::ToWorker, V.data(), V.rows(),
+                                     V.cols(), V.stride()))
         return E;
     }
   Expected<AckMessage> Ack = W.expectAck(net::MsgType::ShardDataResponse);
@@ -536,11 +537,10 @@ Error ShardedBackend::relayAndGather(const ResolvedStencilArguments &Resolved,
         Worker &W = *Workers[static_cast<size_t>(I)];
         for (int LR = 0; LR != W.Domain.LocalRows; ++LR)
           for (int LC = 0; LC != W.Domain.LocalCols; ++LC) {
-            const NodeCoord At{W.Domain.globalRow(LR),
-                               W.Domain.globalCol(LC)};
-            if (W.Ring.readFloats(RingDir::ToCoordinator,
-                                  Resolved.Result->subgrid(At).data(),
-                                  ResultPerNode)) {
+            const SubgridView V = Resolved.Result->subgrid(
+                {W.Domain.globalRow(LR), W.Domain.globalCol(LC)});
+            if (W.Ring.readRows(RingDir::ToCoordinator, V.data(), V.rows(),
+                                V.cols(), V.stride())) {
               W.die();
               return Error::transient("shard result gather failed");
             }

@@ -85,6 +85,29 @@ public:
     return read(Dir, Data, Count * sizeof(float));
   }
 
+  /// Streams a \p Rows x \p Cols block of floats whose rows start
+  /// \p Stride floats apart (a subgrid inside its padded storage) —
+  /// one transfer when the rows are contiguous, else one per row.
+  Error writeRows(RingDir Dir, const float *First, int Rows, int Cols,
+                  int Stride) {
+    if (Stride == Cols)
+      return writeFloats(Dir, First, static_cast<size_t>(Rows) * Cols);
+    for (int R = 0; R != Rows; ++R)
+      if (Error E = writeFloats(Dir, First + static_cast<size_t>(R) * Stride,
+                                static_cast<size_t>(Cols)))
+        return E;
+    return Error::success();
+  }
+  Error readRows(RingDir Dir, float *First, int Rows, int Cols, int Stride) {
+    if (Stride == Cols)
+      return readFloats(Dir, First, static_cast<size_t>(Rows) * Cols);
+    for (int R = 0; R != Rows; ++R)
+      if (Error E = readFloats(Dir, First + static_cast<size_t>(R) * Stride,
+                               static_cast<size_t>(Cols)))
+        return E;
+    return Error::success();
+  }
+
   /// Reads and discards \p Len bytes (abort paths drain announced
   /// payloads so the ring stays clean for the next run).
   Error discard(RingDir Dir, size_t Len);

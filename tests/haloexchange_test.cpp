@@ -9,7 +9,8 @@
 /// then corners relayed through two hops): for every machine shape,
 /// boundary kind, border width, and corner flag, the protocol result
 /// must be cell-for-cell identical (NaN poisoning included) to the
-/// direct global-torus construction.
+/// direct global-torus construction. The protocol writes in place, so
+/// each node's subgrid view, margin included, is what is compared.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,15 +23,19 @@ using namespace cmcc;
 
 namespace {
 
-/// Equality where NaN == NaN (poisoned corners must match exactly).
-bool sameCells(const Array2D &A, const Array2D &B, std::string *Where) {
-  if (A.rows() != B.rows() || A.cols() != B.cols()) {
+/// Equality where NaN == NaN (poisoned corners must match exactly), of
+/// \p A's subgrid and its \p Border wide halo against the padded \p B.
+bool sameCells(ConstSubgridView A, const Array2D &B, int Border,
+               std::string *Where) {
+  if (A.margin() < Border || A.rows() + 2 * Border != B.rows() ||
+      A.cols() + 2 * Border != B.cols()) {
     *Where = "shape mismatch";
     return false;
   }
-  for (int R = 0; R != A.rows(); ++R)
-    for (int C = 0; C != A.cols(); ++C) {
-      float X = A.at(R, C), Y = B.at(R, C);
+  const ConstSubgridView BV = B.view(Border);
+  for (int R = -Border; R != A.rows() + Border; ++R)
+    for (int C = -Border; C != A.cols() + Border; ++C) {
+      float X = A.at(R, C), Y = BV.at(R, C);
       bool Equal = (std::isnan(X) && std::isnan(Y)) || X == Y;
       if (!Equal) {
         *Where = "(" + std::to_string(R) + "," + std::to_string(C) +
@@ -72,13 +77,14 @@ TEST_P(HaloProtocolTest, MatchesDirectConstruction) {
   Global.fillRandom(GetParam() * 97 + 5);
   A.scatter(Global);
 
-  std::vector<Array2D> Protocol = exchangeHalos(A, Border, B1, B2, Corners);
-  ASSERT_EQ(Protocol.size(), static_cast<size_t>(Grid.nodeCount()));
+  exchangeHalosInPlace(A, Border, B1, B2, Corners);
+  EXPECT_EQ(A.margin(), Border);
   for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
     Array2D Direct = buildPaddedSubgrid(A, Grid.coordOf(Id), Border, B1,
                                         B2, Corners);
     std::string Where;
-    EXPECT_TRUE(sameCells(Protocol[Id], Direct, &Where))
+    EXPECT_TRUE(sameCells(A.subgrid(Grid.coordOf(Id)), Direct, Border,
+                          &Where))
         << "node " << Id << " at " << Where << "  [grid " << NR << "x" << NC
         << " sub " << SubRows << "x" << SubCols << " border " << Border
         << " b1=" << (B1 == BoundaryKind::Zero ? "zero" : "circ")
@@ -99,14 +105,13 @@ TEST(HaloProtocolTest, CornerDataTravelsTwoHops) {
     for (int C = 0; C != 16; ++C)
       Global.at(R, C) = static_cast<float>(R * 100 + C);
   A.scatter(Global);
-  std::vector<Array2D> Halos =
-      exchangeHalos(A, 2, BoundaryKind::Circular, BoundaryKind::Circular,
-                    /*FetchCorners=*/true);
+  exchangeHalosInPlace(A, 2, BoundaryKind::Circular, BoundaryKind::Circular,
+                       /*FetchCorners=*/true);
   // Node (1,1) covers rows 4..7, cols 4..7. Its NW corner pad cell
-  // (0,0) is global (2,2) — owned by diagonal node (0,0).
-  const Array2D &P = Halos[Grid.nodeId({1, 1})];
-  EXPECT_EQ(P.at(0, 0), 2 * 100 + 2);
-  EXPECT_EQ(P.at(7, 7), 9 * 100 + 9); // SE corner interior edge.
+  // (-2,-2) is global (2,2) — owned by diagonal node (0,0).
+  const ConstSubgridView P = A.subgrid({1, 1});
+  EXPECT_EQ(P.at(-2, -2), 2 * 100 + 2);
+  EXPECT_EQ(P.at(5, 5), 9 * 100 + 9); // SE corner interior edge.
 }
 
 TEST(HaloProtocolTest, ZeroBorderIsJustTheSubgrid) {
@@ -115,10 +120,8 @@ TEST(HaloProtocolTest, ZeroBorderIsJustTheSubgrid) {
   Array2D Global(6, 6);
   Global.fillRandom(1);
   A.scatter(Global);
-  std::vector<Array2D> Halos = exchangeHalos(
-      A, 0, BoundaryKind::Circular, BoundaryKind::Circular, true);
-  for (int Id = 0; Id != 4; ++Id)
-    EXPECT_EQ(Array2D::maxAbsDifference(Halos[Id],
-                                        A.subgrid(Grid.coordOf(Id))),
-              0.0f);
+  exchangeHalosInPlace(A, 0, BoundaryKind::Circular, BoundaryKind::Circular,
+                       true);
+  EXPECT_EQ(A.margin(), 0);
+  EXPECT_EQ(Array2D::maxAbsDifference(A.gather(), Global), 0.0f);
 }

@@ -11,13 +11,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backends/Registry.h"
+#include "backends/native/NativeBackend.h"
+#include "core/Compiler.h"
+#include "obs/Metrics.h"
 #include "runtime/DistributedArray.h"
+#include "runtime/HaloExchange.h"
 #include "runtime/Reference.h"
 #include "runtime/StripMiner.h"
 #include "stencil/PatternLibrary.h"
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -144,6 +151,20 @@ TEST(DistributedArrayTest, RowCopiesAreBitwiseOverNodeGridShapes) {
     B.gatherInto(Out.data() + 3);
     EXPECT_EQ(std::memcmp(Out.data() + 3, Global.data(), Bytes), 0);
     EXPECT_EQ(Out[0], 0xEE); // Nothing written before the destination.
+
+    // The same rows, written straight into fresh storage.
+    ExpectHolds(*DistributedArray::fromGlobal(Grid, 3, 5, Frame.data() + 1));
+
+    // Row copies skip the margin once an exchange has grown one.
+    exchangeHalosInPlace(B, 2, BoundaryKind::Circular, BoundaryKind::Zero,
+                         true);
+    ASSERT_EQ(B.margin(), 2);
+    ExpectHolds(B);
+    B.scatterFrom(Frame.data() + 1);
+    ExpectHolds(B);
+    std::fill(Out.begin(), Out.end(), 0xEE);
+    B.gatherInto(Out.data() + 3);
+    EXPECT_EQ(std::memcmp(Out.data() + 3, Global.data(), Bytes), 0);
   }
 }
 
@@ -240,6 +261,164 @@ TEST(HaloTest, SingleNodeMachineWrapsOntoItself) {
   Array2D P = buildPaddedSubgrid(A, {0, 0}, 1, BoundaryKind::Circular,
                                  BoundaryKind::Circular, true);
   EXPECT_EQ(P.at(0, 1), 3 * 1000 + 0); // Row above row 0 is row 3.
+}
+
+//===----------------------------------------------------------------------===//
+// Pad-resident halo margins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every margin cell of \p A inside the band an exchange at \p Border
+/// fills (corners only when \p Corners) holds data; every other margin
+/// cell holds NaN. The inputs are finite, so NaN marks exactly what the
+/// exchange did not fetch.
+void expectFilledBand(const DistributedArray &A, int Border, bool Corners) {
+  const NodeGrid &Grid = A.grid();
+  const int M = A.margin();
+  long Wrong = 0;
+  for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
+    const ConstSubgridView V = A.subgrid(Grid.coordOf(Id));
+    for (int R = -M; R != V.rows() + M; ++R)
+      for (int C = -M; C != V.cols() + M; ++C) {
+        const int DR = R < 0 ? -R : std::max(0, R - V.rows() + 1);
+        const int DC = C < 0 ? -C : std::max(0, C - V.cols() + 1);
+        if (DR == 0 && DC == 0)
+          continue;
+        const bool Filled = DR <= Border && DC <= Border &&
+                            (Corners || DR == 0 || DC == 0);
+        if (std::isnan(V.at(R, C)) == Filled && Wrong++ < 5)
+          ADD_FAILURE() << "node " << Id << " margin cell (" << R << ","
+                        << C << ") " << (Filled ? "unfilled" : "not NaN")
+                        << " after a border-" << Border << " exchange";
+      }
+  }
+  EXPECT_EQ(Wrong, 0);
+}
+
+CompiledStencil compileOrDie(const MachineConfig &Config,
+                             const StencilSpec &Spec) {
+  ConvolutionCompiler CC(Config);
+  CC.setAllowMultipleSources(true);
+  Expected<CompiledStencil> Compiled = CC.compile(Spec);
+  EXPECT_TRUE(Compiled) << (Compiled ? "" : Compiled.error().message());
+  return *Compiled;
+}
+
+/// Runs \p Compiled with \p Source bound as its source (any extra
+/// sources and coefficient arrays are fresh, seeded deterministically)
+/// and returns the gathered result.
+Array2D runWithSource(ExecutionBackend &Backend,
+                      const CompiledStencil &Compiled,
+                      const DistributedArray &Source, int TimeTile) {
+  const NodeGrid &Grid = Source.grid();
+  DistributedArray Result(Grid, Source.subRows(), Source.subCols());
+  std::vector<std::unique_ptr<DistributedArray>> Owned;
+  uint64_t Seed = 900;
+  auto Fresh = [&] {
+    Owned.push_back(std::make_unique<DistributedArray>(
+        Grid, Source.subRows(), Source.subCols()));
+    Array2D G(Source.globalRows(), Source.globalCols());
+    G.fillRandom(Seed++);
+    Owned.back()->scatter(G);
+    return Owned.back().get();
+  };
+  StencilArguments Args;
+  Args.Result = &Result;
+  Args.Source = &Source;
+  for (const std::string &Name : Compiled.Spec.ExtraSources)
+    Args.ExtraSources[Name] = Fresh();
+  for (const std::string &Name : Compiled.Spec.coefficientArrayNames())
+    Args.Coefficients[Name] = Fresh();
+  RunOptions RO;
+  RO.TimeTile = TimeTile;
+  Expected<TimingReport> Report = Backend.run(Compiled, Args, RO);
+  EXPECT_TRUE(Report) << (Report ? "" : Report.error().message());
+  return Result.gather();
+}
+
+} // namespace
+
+TEST(PaddedArrayTest, MarginReuseMatchesFreshArrays) {
+  // One source array carries its margin from run to run: a radius-2
+  // k=4 run with corners grows it to 8, a radius-1 cornerless EOSHIFT
+  // run and a k=1 run then exchange narrower bands into it. Each result
+  // equals the same run on a fresh array, bit for bit, and after each
+  // exchange every margin cell it did not fetch is NaN.
+  const MachineConfig Config = MachineConfig::testMachine16();
+  const NodeGrid Grid(Config);
+  const int Sub = 8;
+  Array2D Global(Grid.rows() * Sub, Grid.cols() * Sub);
+  Global.fillRandom(77);
+  struct Run {
+    PatternId Pattern;
+    BoundaryKind Boundary;
+    int TimeTile, Border;
+    bool Corners;
+  };
+  const Run Runs[] = {
+      {PatternId::Diamond13, BoundaryKind::Circular, 4, 8, true},
+      {PatternId::Cross5, BoundaryKind::Zero, 1, 1, false},
+      {PatternId::Diamond13, BoundaryKind::Circular, 1, 2, true},
+  };
+  for (const char *Name : {"native", "cm2"}) {
+    SCOPED_TRACE(Name);
+    std::unique_ptr<ExecutionBackend> Backend = createBackend(Name, Config);
+    ASSERT_NE(Backend, nullptr);
+    DistributedArray Reused(Grid, Sub, Sub);
+    Reused.scatter(Global);
+    for (const Run &R : Runs) {
+      SCOPED_TRACE(std::string(patternName(R.Pattern)) + " k=" +
+                   std::to_string(R.TimeTile));
+      StencilSpec Spec = makePattern(R.Pattern);
+      Spec.BoundaryDim1 = Spec.BoundaryDim2 = R.Boundary;
+      const CompiledStencil Compiled = compileOrDie(Config, Spec);
+      DistributedArray Fresh(Grid, Sub, Sub);
+      Fresh.scatter(Global);
+      const Array2D Want =
+          runWithSource(*Backend, Compiled, Fresh, R.TimeTile);
+      const Array2D Got =
+          runWithSource(*Backend, Compiled, Reused, R.TimeTile);
+      ASSERT_EQ(Got.rows(), Want.rows());
+      EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                            sizeof(float) * Got.rows() * Got.cols()),
+                0);
+      EXPECT_EQ(Reused.margin(), 8);
+      expectFilledBand(Reused, R.Border, R.Corners);
+      expectFilledBand(Fresh, R.Border, R.Corners);
+      // The exchange never touches the array's own data.
+      EXPECT_EQ(Array2D::maxAbsDifference(Reused.gather(), Global), 0.0f);
+    }
+  }
+}
+
+TEST(PaddedArrayTest, NativeUntiledRunFansOutOnce) {
+  // The exchange runs in place on the caller, and each node's tap
+  // streams are resolved before the compute pass: a k=1 native run's
+  // only pool fan-out is that pass, for one source and for two.
+  const MachineConfig Config = MachineConfig::testMachine16();
+  StencilSpec OneSource = makePattern(PatternId::Cross5);
+  StencilSpec TwoSources = OneSource;
+  TwoSources.ExtraSources.push_back("Y");
+  for (Tap &T : TwoSources.Taps)
+    if (T.HasData && T.At.Dy == 0 && T.At.Dx == 0)
+      T.SourceIndex = 1;
+  ASSERT_EQ(TwoSources.sourceCount(), 2);
+  obs::Counter &Loops =
+      obs::Registry::process().counter("threadpool.loops_total");
+  for (const StencilSpec *Spec : {&OneSource, &TwoSources}) {
+    SCOPED_TRACE(std::to_string(Spec->sourceCount()) + " source(s)");
+    const CompiledStencil Compiled = compileOrDie(Config, *Spec);
+    for (int Threads : {1, 2}) {
+      NativeBackend::Options Opts;
+      Opts.ThreadCount = Threads;
+      NativeBackend Native(Config, Opts);
+      DistributedArray Source(NodeGrid(Config), 16, 16);
+      const long Before = Loops.value();
+      runWithSource(Native, Compiled, Source, 1);
+      EXPECT_EQ(Loops.value() - Before, 1) << Threads << " thread(s)";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -48,14 +48,19 @@ using namespace cmcc;
 namespace {
 
 /// Equality where NaN == NaN (poisoned corners must match exactly).
-bool sameCells(const Array2D &A, const Array2D &B, std::string *Where) {
-  if (A.rows() != B.rows() || A.cols() != B.cols()) {
+/// Compares \p A's subgrid and its \p Border wide halo with the padded
+/// \p B.
+bool sameCells(ConstSubgridView A, const Array2D &B, int Border,
+               std::string *Where) {
+  if (A.margin() < Border || A.rows() + 2 * Border != B.rows() ||
+      A.cols() + 2 * Border != B.cols()) {
     *Where = "shape mismatch";
     return false;
   }
-  for (int R = 0; R != A.rows(); ++R)
-    for (int C = 0; C != A.cols(); ++C) {
-      float X = A.at(R, C), Y = B.at(R, C);
+  const ConstSubgridView BV = B.view(Border);
+  for (int R = -Border; R != A.rows() + Border; ++R)
+    for (int C = -Border; C != A.cols() + Border; ++C) {
+      float X = A.at(R, C), Y = BV.at(R, C);
       bool Equal = (std::isnan(X) && std::isnan(Y)) || X == Y;
       if (!Equal) {
         *Where = "(" + std::to_string(R) + "," + std::to_string(C) +
@@ -357,7 +362,7 @@ TEST_P(LocalTransportTest, PartitionedExchangeMatchesWholeGrid) {
   // Each shard runs the partitioned protocol over its own block in its
   // own thread (endpoint exchanges are all-shard rendezvous).
   const int N = SG->count();
-  std::vector<std::vector<Array2D>> Results(N);
+  std::vector<std::unique_ptr<DistributedArray>> Results(N);
   std::vector<std::string> Failures(N);
   std::vector<std::unique_ptr<HaloTransport>> Endpoints;
   for (int S = 0; S != N; ++S)
@@ -369,21 +374,20 @@ TEST_P(LocalTransportTest, PartitionedExchangeMatchesWholeGrid) {
         PartitionDomain D =
             shardDomain(*SG, S, TC.NodeRows, TC.NodeCols);
         NodeGrid LG(D.LocalRows, D.LocalCols);
-        DistributedArray Local(LG, TC.SubRows, TC.SubCols);
+        auto Local =
+            std::make_unique<DistributedArray>(LG, TC.SubRows, TC.SubCols);
         Array2D Slice(D.LocalRows * TC.SubRows, D.LocalCols * TC.SubCols);
         for (int R = 0; R != Slice.rows(); ++R)
           for (int C = 0; C != Slice.cols(); ++C)
             Slice.at(R, C) =
                 Global.at(D.NodeRowBegin * TC.SubRows + R,
                           D.NodeColBegin * TC.SubCols + C);
-        Local.scatter(Slice);
-        Expected<std::vector<Array2D>> Padded = exchangeHalosPartitioned(
-            Local, D, Endpoints[S].get(), /*SourceIndex=*/0, TC.Border,
-            TC.B1, TC.B2, TC.Corners);
-        if (!Padded)
-          Failures[S] = Padded.error().message();
-        else
-          Results[S] = std::move(*Padded);
+        Local->scatter(Slice);
+        if (Error E = exchangeHalosPartitioned(
+                *Local, D, Endpoints[S].get(), /*SourceIndex=*/0, TC.Border,
+                TC.B1, TC.B2, TC.Corners))
+          Failures[S] = E.message();
+        Results[S] = std::move(Local);
       });
     for (std::thread &T : Threads)
       T.join();
@@ -395,22 +399,24 @@ TEST_P(LocalTransportTest, PartitionedExchangeMatchesWholeGrid) {
   for (int S = 0; S != N; ++S) {
     PartitionDomain D = shardDomain(*SG, S, TC.NodeRows, TC.NodeCols);
     NodeGrid LG(D.LocalRows, D.LocalCols);
-    ASSERT_EQ(Results[S].size(), static_cast<size_t>(D.localNodeCount()));
+    ASSERT_EQ(Results[S]->grid().nodeCount(), D.localNodeCount());
     for (int LR = 0; LR != D.LocalRows; ++LR)
       for (int LC = 0; LC != D.LocalCols; ++LC) {
-        const Array2D &P = Results[S][LG.nodeId({LR, LC})];
+        const ConstSubgridView P =
+            Results[S]->subgrid({LR, LC});
         Array2D Direct = buildPaddedSubgrid(
             A, {D.globalRow(LR), D.globalCol(LC)}, TC.Border, TC.B1, TC.B2,
             TC.Corners);
         std::string Where;
-        EXPECT_TRUE(sameCells(P, Direct, &Where))
+        EXPECT_TRUE(sameCells(P, Direct, TC.Border, &Where))
             << "shard " << S << " local node (" << LR << "," << LC
             << ") at " << Where;
         // The NaN poison of skipped corners survives the transport: a
         // cornerless exchange never ships the corner pads at all.
         if (!TC.Corners && TC.Border > 0) {
-          EXPECT_TRUE(std::isnan(P.at(0, 0)));
-          EXPECT_TRUE(std::isnan(P.at(P.rows() - 1, P.cols() - 1)));
+          EXPECT_TRUE(std::isnan(P.at(-TC.Border, -TC.Border)));
+          EXPECT_TRUE(std::isnan(P.at(P.rows() + TC.Border - 1,
+                                      P.cols() + TC.Border - 1)));
         }
       }
   }

@@ -35,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <unistd.h>
 #include <vector>
 
@@ -439,6 +440,76 @@ TEST_F(TimelineTest, ClientMintedTraceIdCrossesTheWire) {
   EXPECT_NE(D->Json.find("backend.cm2.run"), std::string::npos);
   EXPECT_NE(D->Json.find(Hex), std::string::npos)
       << "the fired fault should carry the job's trace id";
+  std::remove(Path.c_str());
+}
+
+TEST_F(TimelineTest, ServedJobSplitsDecodeScatterAndDeliver) {
+  // A traced job with grids accounts for the server's side of its round
+  // trip: decoding the frame, scattering the grids into subgrids, and
+  // delivering the result each leave a span under the client's trace
+  // id, and the worker-to-poll-thread hop leaves one histogram sample.
+  WireHarness H;
+  std::unique_ptr<net::Client> C = H.client();
+  ASSERT_NE(C, nullptr);
+  obs::Histogram &Hop =
+      obs::Registry::process().histogram("net.finish_to_deliver_us");
+  const long HopsBefore = Hop.count();
+
+  const std::string Path = tracePath("timeline_server_split_trace.json");
+  ASSERT_TRUE(obs::Trace::start(Path));
+  const uint64_t TraceId = obs::mintTraceId();
+  net::SubmitRequest Req;
+  Req.Kind =
+      static_cast<uint8_t>(StencilService::SourceKind::FortranAssignment);
+  Req.Source = CrossSource;
+  Req.ResultName = "R";
+  Req.TraceId = TraceId;
+  Req.ParentSpan = obs::mintSpanId();
+  const int Rows = 8 * H.M.NodeRows, Cols = 8 * H.M.NodeCols;
+  uint64_t Seed = 41;
+  for (auto [Name, Role] :
+       {std::pair{"X", net::SubmitRequest::Role::Source},
+        std::pair{"C1", net::SubmitRequest::Role::Coefficient},
+        std::pair{"C2", net::SubmitRequest::Role::Coefficient}}) {
+    net::SubmitRequest::BoundGrid B;
+    B.Kind = Role;
+    B.Grid.Name = Name;
+    B.Grid.Rows = static_cast<uint32_t>(Rows);
+    B.Grid.Cols = static_cast<uint32_t>(Cols);
+    Array2D G(Rows, Cols);
+    G.fillRandom(Seed++);
+    B.Grid.Data.assign(G.data(), G.data() + static_cast<size_t>(Rows) * Cols);
+    Req.Grids.push_back(std::move(B));
+  }
+  Expected<net::SubmitResponse> S = C->submit(Req);
+  ASSERT_TRUE(S) << S.error().message();
+  Expected<net::WaitResponse> W = C->wait(S->JobId);
+  ASSERT_TRUE(W) << W.error().message();
+  ASSERT_TRUE(W->Ok) << W->Message;
+  EXPECT_TRUE(W->HasResult);
+
+  const std::string Hex = obs::formatTraceId(TraceId);
+  const char *Names[] = {"\"server.decode\"", "\"server.scatter\"",
+                         "\"server.deliver\""};
+  bool Seen[3] = {false, false, false};
+  std::string TraceJson;
+  for (int Try = 0; Try != 200 && !(Seen[0] && Seen[1] && Seen[2]); ++Try) {
+    if (Try)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    obs::Trace::flush();
+    TraceJson = slurp(Path);
+    std::istringstream In(TraceJson);
+    std::string Line;
+    while (std::getline(In, Line))
+      if (Line.find(Hex) != std::string::npos)
+        for (int I = 0; I != 3; ++I)
+          Seen[I] = Seen[I] || Line.find(Names[I]) != std::string::npos;
+  }
+  ASSERT_TRUE(obs::Trace::stop());
+  for (int I = 0; I != 3; ++I)
+    EXPECT_TRUE(Seen[I]) << Names[I] << " under the job's trace id\n"
+                         << TraceJson;
+  EXPECT_EQ(Hop.count() - HopsBefore, 1);
   std::remove(Path.c_str());
 }
 

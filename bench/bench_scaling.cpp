@@ -16,17 +16,10 @@
 ///     subgrid shrinks, the per-line/strip/front-end overheads stop
 ///     amortizing, and the communication share grows — efficiency falls
 ///     off, quantifying §4.1's square-root argument from the other side.
-///   * Sharded workers (S1c): the same job executed through 1→N worker
-///     *processes* (DESIGN.md §5j), each pinned to one host thread —
-///     host throughput must scale with the fleet while results stay
-///     bitwise. Emits BENCH_shard.json (jobs/s and halo-exchange
-///     p50/p99 per worker count).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "obs/Metrics.h"
-#include "shard/ShardedBackend.h"
 
 using namespace cmccbench;
 
@@ -102,186 +95,6 @@ void printStrongScaling() {
               T.str().c_str());
 }
 
-/// Percentile of the observations a histogram gained between two
-/// bucketCounts() snapshots (same interpolation as obs::Histogram, but
-/// over the delta — the process-wide registry cannot be reset between
-/// worker-count configurations).
-double deltaPercentile(const std::vector<double> &Bounds,
-                       const std::vector<long> &Before,
-                       const std::vector<long> &After, double P) {
-  long Total = 0;
-  for (size_t I = 0; I != After.size(); ++I)
-    Total += After[I] - Before[I];
-  if (Total <= 0)
-    return 0.0;
-  const double Rank = P / 100.0 * static_cast<double>(Total);
-  double Seen = 0.0;
-  for (size_t I = 0; I != After.size(); ++I) {
-    const long InBucket = After[I] - Before[I];
-    if (InBucket <= 0 || Seen + static_cast<double>(InBucket) < Rank) {
-      Seen += static_cast<double>(InBucket);
-      continue;
-    }
-    if (I >= Bounds.size())
-      break; // Overflow bucket: report the last finite bound.
-    const double Lo = I == 0 ? 0.0 : Bounds[I - 1];
-    return Lo + (Bounds[I] - Lo) * (Rank - Seen) /
-                    static_cast<double>(InBucket);
-  }
-  return Bounds.back();
-}
-
-/// Jobs/s and halo-exchange percentiles for one fleet size: the square9
-/// job on the 16-node machine, every worker's inner executor pinned to
-/// ThreadCount=1 so the only parallelism measured is the fleet's.
-struct ShardPoint {
-  int Workers;
-  double JobsPerSecond;
-  double HaloP50Us, HaloP99Us;
-  double Mflops;
-};
-
-ShardPoint measureShardPoint(int Workers, const MachineConfig &Config,
-                             const CompiledStencil &Compiled,
-                             StencilArguments &Args, int SubRows,
-                             int SubCols, int Iterations, int Jobs) {
-  shard::ShardedBackend::Options SO;
-  SO.Shards = Workers;
-  SO.InnerBackend = "native";
-  SO.ExecOpts.ThreadCount = 1;
-  shard::ShardedBackend Backend(Config, SO);
-
-  // Same power-of-two nanosecond buckets the backend registers the
-  // histogram with (first resolution fixes the bounds).
-  std::vector<double> NsBounds = obs::Histogram::latencyBoundsUs();
-  for (double &B : NsBounds)
-    B *= 1000.0;
-  obs::Histogram &ExchangeNs = obs::Registry::process().histogram(
-      "shard.exchange_ns", std::move(NsBounds));
-  (void)SubRows;
-  (void)SubCols;
-
-  // Warm-up: spawn the fleet, ship the plan and the arrays once.
-  Expected<TimingReport> Warm = Backend.run(Compiled, Args, Iterations);
-  if (!Warm) {
-    std::fprintf(stderr, "bench_scaling: sharded warm-up failed: %s\n",
-                 Warm.error().message().c_str());
-    std::abort();
-  }
-
-  const std::vector<long> Before = ExchangeNs.bucketCounts();
-  double Mflops = 0.0;
-  auto Begin = std::chrono::steady_clock::now();
-  for (int J = 0; J != Jobs; ++J) {
-    Expected<TimingReport> R = Backend.run(Compiled, Args, Iterations);
-    if (!R) {
-      std::fprintf(stderr, "bench_scaling: sharded job failed: %s\n",
-                   R.error().message().c_str());
-      std::abort();
-    }
-    Mflops = R->measuredMflops();
-  }
-  double Elapsed = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - Begin)
-                       .count();
-  const std::vector<long> After = ExchangeNs.bucketCounts();
-  const std::vector<double> &Bounds = ExchangeNs.upperBounds();
-
-  ShardPoint Point;
-  Point.Workers = Workers;
-  Point.JobsPerSecond = Elapsed > 0.0 ? Jobs / Elapsed : 0.0;
-  Point.HaloP50Us = deltaPercentile(Bounds, Before, After, 50) / 1000.0;
-  Point.HaloP99Us = deltaPercentile(Bounds, Before, After, 99) / 1000.0;
-  Point.Mflops = Mflops;
-  return Point;
-}
-
-void runShardScaling() {
-  const MachineConfig Config = MachineConfig::testMachine16();
-  // Large per-node subgrids (1024x1024 global on the 4x4 machine): the
-  // per-iteration compute must dominate the per-round relay latency or
-  // the fleet can't win even with idle cores.
-  const int SubRows = 256, SubCols = 256;
-  const int Iterations = 10, Jobs = 3;
-  CompiledStencil Compiled = compilePattern(Config, PatternId::Square9);
-
-  // One set of arguments shared by every fleet size — each
-  // configuration scatters the same global arrays, so the measured
-  // work is identical across rows.
-  NodeGrid Grid(Config);
-  DistributedArray Result(Grid, SubRows, SubCols);
-  DistributedArray Source(Grid, SubRows, SubCols);
-  Array2D GlobalSource(Result.globalRows(), Result.globalCols());
-  GlobalSource.fillRandom(1);
-  Source.scatter(GlobalSource);
-  StencilArguments Args;
-  Args.Result = &Result;
-  Args.Source = &Source;
-  std::vector<std::unique_ptr<DistributedArray>> Coefficients;
-  int Index = 0;
-  for (const std::string &Name : Compiled.Spec.coefficientArrayNames()) {
-    auto Coeff =
-        std::make_unique<DistributedArray>(Grid, SubRows, SubCols);
-    Array2D Global(Result.globalRows(), Result.globalCols());
-    Global.fillRandom(1000 + Index++);
-    Coeff->scatter(Global);
-    Args.Coefficients[Name] = Coeff.get();
-    Coefficients.push_back(std::move(Coeff));
-  }
-
-  TextTable T;
-  T.setHeader({"workers", "grid", "jobs/s", "speedup", "halo p50",
-               "halo p99", "Mflops"});
-  BenchJsonWriter Json("shard");
-  double Base = 0.0, SpeedupAt4 = 0.0;
-  for (int Workers : {1, 2, 4}) {
-    ShardPoint P = measureShardPoint(Workers, Config, Compiled, Args,
-                                     SubRows, SubCols, Iterations, Jobs);
-    if (Base == 0.0)
-      Base = P.JobsPerSecond;
-    double Speedup = Base > 0.0 ? P.JobsPerSecond / Base : 0.0;
-    if (Workers == 4)
-      SpeedupAt4 = Speedup;
-    Expected<ShardGrid> G =
-        chooseShardGrid(Config.NodeRows, Config.NodeCols, Workers);
-    std::string GridStr =
-        G ? std::to_string(G->Rows) + "x" + std::to_string(G->Cols) : "?";
-    T.addRow({std::to_string(Workers), GridStr,
-              formatFixed(P.JobsPerSecond, 2), formatFixed(Speedup, 2),
-              formatFixed(P.HaloP50Us, 1) + " us",
-              formatFixed(P.HaloP99Us, 1) + " us",
-              formatFixed(P.Mflops, 1)});
-    std::string Name = "S1c/shard/workers:";
-    Name += std::to_string(Workers);
-    Json.addRow(Name, P.Mflops, 0.0, P.JobsPerSecond > 0.0
-                                         ? 1.0 / P.JobsPerSecond
-                                         : 0.0);
-    std::string Prefix = "workers_";
-    Prefix += std::to_string(Workers);
-    Json.addScalar(Prefix + "_jobs_per_s", P.JobsPerSecond);
-    Json.addScalar(Prefix + "_halo_p50_us", P.HaloP50Us);
-    Json.addScalar(Prefix + "_halo_p99_us", P.HaloP99Us);
-  }
-  Json.addScalar("native_speedup_4v1", SpeedupAt4);
-  std::string Path = Json.write();
-
-  std::printf("\n=== S1c: sharded workers (square9, 1024x1024 global, "
-              "native inner, 1 thread/worker) ===\n\n%s\n"
-              "Worker processes over the transport seam: same plans, "
-              "bitwise-same answers, host\nthroughput scaling with the "
-              "fleet (4-worker speedup %.2fx; %s).\n%s\n",
-              T.str().c_str(), SpeedupAt4,
-              Path.empty() ? "json write FAILED" : Path.c_str(),
-              benchProvenance().c_str());
-  unsigned Cores = std::thread::hardware_concurrency();
-  if (Cores < 4)
-    std::printf("NOTE: only %u host core(s) — a 4-process fleet "
-                "time-slices one CPU, so the speedup\ncolumn measures "
-                "overhead, not scaling. CI gates the >=1.5x check on "
-                "host_cores.\n",
-                Cores);
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -303,6 +116,5 @@ int main(int argc, char **argv) {
   benchmark::Shutdown();
   printScaledProblem();
   printStrongScaling();
-  runShardScaling();
   return 0;
 }

@@ -47,16 +47,12 @@ cmcc::createBackend(std::string_view Name, const MachineConfig &Config,
     NativeBackend::Options Opts;
     Opts.AllowCornerSkip = ExecOpts.AllowCornerSkip;
     Opts.ThreadCount = ExecOpts.ThreadCount;
-    Opts.Domain = ExecOpts.Domain;
-    Opts.Transport = ExecOpts.Transport;
     return std::make_unique<NativeBackend>(Config, Opts);
   }
   if (Name == "njit") {
     NjitBackend::Options Opts;
     Opts.AllowCornerSkip = ExecOpts.AllowCornerSkip;
     Opts.ThreadCount = ExecOpts.ThreadCount;
-    Opts.Domain = ExecOpts.Domain;
-    Opts.Transport = ExecOpts.Transport;
     return std::make_unique<NjitBackend>(Config, Opts);
   }
   return nullptr;

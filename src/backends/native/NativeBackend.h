@@ -38,8 +38,6 @@
 #define CMCC_BACKENDS_NATIVE_NATIVEBACKEND_H
 
 #include "runtime/Backend.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
 
 namespace cmcc {
 
@@ -58,11 +56,6 @@ public:
     /// even on one node's subgrid, large enough that a tile's rows
     /// amortize the dispatch.
     int RowsPerTile = 32;
-    /// When set, this backend runs one shard's block of a larger node
-    /// grid; block-edge halo traffic moves through Transport. Null runs
-    /// the whole grid in-process.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
   };
 
   explicit NativeBackend(const MachineConfig &Config) : Config(Config) {}

@@ -90,8 +90,7 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
   // rectangles, and the final step).
   Expected<RunHalos> Halos = [&] {
     CMCC_SPAN("backend.njit.halo_exchange");
-    return RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip,
-                              Opts.Domain, Opts.Transport);
+    return RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip);
   }();
   if (!Halos)
     return Halos.error();
@@ -178,10 +177,7 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
             timetile::applyZeroMask(
                 (*Out)[static_cast<size_t>(Id)], Border, POut, SubRows,
                 SubCols, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                Opts.Domain ? Opts.Domain->globalRow(Node.Row) : Node.Row,
-                Opts.Domain ? Opts.Domain->GlobalRows : Config.NodeRows,
-                Opts.Domain ? Opts.Domain->globalCol(Node.Col) : Node.Col,
-                Opts.Domain ? Opts.Domain->GlobalCols : Config.NodeCols);
+                Node.Row, Config.NodeRows, Node.Col, Config.NodeCols);
           });
         }
       }

@@ -36,8 +36,6 @@
 
 #include "backends/njit/ArtifactCache.h"
 #include "runtime/Backend.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
 
 namespace cmcc {
 
@@ -53,11 +51,6 @@ public:
     /// Artifact-cache root. Empty means CMCC_NJIT_CACHE_DIR from the
     /// environment, or ".cmccjit" (beside ".cmccode", the plan cache).
     std::string CacheDir;
-    /// When set, this backend runs one shard's block of a larger node
-    /// grid; block-edge halo traffic moves through Transport. Null runs
-    /// the whole grid in-process.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
   };
 
   explicit NjitBackend(const MachineConfig &Config)

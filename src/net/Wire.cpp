@@ -30,18 +30,6 @@ bool net::isKnownMsgType(uint16_t Raw) {
   case MsgType::TimelineResponse:
   case MsgType::DumpRequest:
   case MsgType::DumpResponse:
-  case MsgType::ShardInitRequest:
-  case MsgType::ShardInitResponse:
-  case MsgType::ShardPlanRequest:
-  case MsgType::ShardPlanResponse:
-  case MsgType::ShardDataRequest:
-  case MsgType::ShardDataResponse:
-  case MsgType::ShardRunRequest:
-  case MsgType::ShardRunResponse:
-  case MsgType::ShardHaloRequest:
-  case MsgType::ShardHaloResponse:
-  case MsgType::ShardShutdownRequest:
-  case MsgType::ShardShutdownResponse:
     return true;
   }
   return false;

@@ -100,21 +100,6 @@ enum class MsgType : uint16_t {
   TimelineResponse = 16,
   DumpRequest = 17,
   DumpResponse = 18,
-  // The shard coordinator/worker protocol (src/shard/). Same framing,
-  // same odd/even convention, but spoken only over the coordinator's
-  // private socketpairs — a public server never accepts these.
-  ShardInitRequest = 33,
-  ShardInitResponse = 34,
-  ShardPlanRequest = 35,
-  ShardPlanResponse = 36,
-  ShardDataRequest = 37,
-  ShardDataResponse = 38,
-  ShardRunRequest = 39,
-  ShardRunResponse = 40,
-  ShardHaloRequest = 41,
-  ShardHaloResponse = 42,
-  ShardShutdownRequest = 43,
-  ShardShutdownResponse = 44,
 };
 
 /// True for type values this protocol version defines.

@@ -8,6 +8,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
+#include "support/Hash.h"
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -177,7 +178,7 @@ std::string FlightRecorder::json() const {
     First = false;
     if (E.TraceId) {
       Out += ", \"trace_id\": \"";
-      Out += formatTraceId(E.TraceId);
+      Out += fingerprintHex(E.TraceId);
       Out += '"';
     }
     if (E.Detail) {

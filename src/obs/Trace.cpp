@@ -6,6 +6,7 @@
 
 #include "obs/Trace.h"
 #include "obs/Metrics.h"
+#include "support/Hash.h"
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -115,11 +116,11 @@ void appendEvent(std::string &Out, const TraceState &S, int Tid,
     // Ids as 16-hex-digit strings: JSON numbers lose precision past
     // 2^53 and Perfetto renders args verbatim.
     Out += ", \"args\": {\"trace_id\": \"";
-    Out += formatTraceId(E.TraceId);
+    Out += fingerprintHex(E.TraceId);
     Out += "\", \"span_id\": \"";
-    Out += formatTraceId(E.SpanId);
+    Out += fingerprintHex(E.SpanId);
     Out += "\", \"parent_id\": \"";
-    Out += formatTraceId(E.ParentId);
+    Out += fingerprintHex(E.ParentId);
     Out += "\"}";
   }
   Out += '}';

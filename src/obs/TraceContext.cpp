@@ -7,7 +7,6 @@
 #include "obs/TraceContext.h"
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 
 #if defined(_WIN32)
 #include <process.h>
@@ -79,13 +78,6 @@ std::uint64_t obs::mintSpanId() {
   while (Id == 0)
     Id = splitMix64(State);
   return Id;
-}
-
-std::string obs::formatTraceId(std::uint64_t Id) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Id));
-  return Buf;
 }
 
 std::uint64_t obs::parseTraceId(const std::string &Text) {

@@ -54,10 +54,9 @@ std::uint64_t mintTraceId();
 /// thread-local counter step through a mixing function.
 std::uint64_t mintSpanId();
 
-/// Formats an id the way trace JSON and the CLI print it (16 hex
-/// digits), and parses it back (accepts an optional 0x prefix; returns
-/// 0 on malformed input).
-std::string formatTraceId(std::uint64_t Id);
+/// Parses an id the way trace JSON and the CLI print it
+/// (cmcc::fingerprintHex: 16 hex digits); accepts an optional 0x
+/// prefix and returns 0 on malformed input.
 std::uint64_t parseTraceId(const std::string &Text);
 
 /// Establishes \p Ctx as the thread's context for the enclosing scope

@@ -109,9 +109,7 @@ public:
   /// tile), writing the result subgrids and returning the backend's
   /// timing report. Resolves the by-name arguments exactly once and
   /// dispatches to runResolved — backends never re-resolve, and callers
-  /// that already hold resolved arguments (the shard workers, whose
-  /// arrays arrive indexed rather than named) call runResolved
-  /// directly.
+  /// that already hold resolved arguments call runResolved directly.
   Expected<TimingReport> run(const CompiledStencil &Compiled,
                              StencilArguments &Args,
                              const RunOptions &Opts) const;

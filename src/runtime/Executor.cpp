@@ -185,17 +185,9 @@ void Executor::runNodeTiledStep(
     Out.fill(std::numeric_limits<float>::quiet_NaN());
   const SubgridView OutView = Out.view(Border);
 
-  const int GlobalRow = Opts.Domain ? Opts.Domain->globalRow(Node.Row)
-                                    : Node.Row;
-  const int GlobalCol = Opts.Domain ? Opts.Domain->globalCol(Node.Col)
-                                    : Node.Col;
-  const int GlobalRows = Opts.Domain ? Opts.Domain->GlobalRows
-                                     : Config.NodeRows;
-  const int GlobalCols = Opts.Domain ? Opts.Domain->GlobalCols
-                                     : Config.NodeCols;
   const std::vector<timetile::OwnerRegion> Regions = timetile::ownerRegions(
       SubRows, SubCols, Step.POut, Spec.BoundaryDim1, Spec.BoundaryDim2,
-      GlobalRow, GlobalRows, GlobalCol, GlobalCols);
+      Node.Row, Config.NodeRows, Node.Col, Config.NodeCols);
   assert(Regions.size() == Step.Regions.size() &&
          "per-node regions disagree with the precomputed step geometry");
 
@@ -414,8 +406,7 @@ Executor::runResolved(const CompiledStencil &Compiled,
     // exchange fails the run before the compute loops, so a failed run
     // never leaves partial results.
     Expected<RunHalos> Halos =
-        RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip,
-                           Opts.Domain, Opts.Transport);
+        RunHalos::exchange(Spec, Resolved, K, Opts.AllowCornerSkip);
     if (!Halos)
       return Halos.error();
 
@@ -492,18 +483,12 @@ Executor::runResolved(const CompiledStencil &Compiled,
       Analytic += static_cast<long>(PS.Sched->Prologue.size()) +
                   static_cast<long>(PS.HS.lines()) * PS.Sched->opsPerLine();
     if (K > 1) {
-      const int GlobalRow = Opts.Domain ? Opts.Domain->globalRow(0) : 0;
-      const int GlobalCol = Opts.Domain ? Opts.Domain->globalCol(0) : 0;
-      const int GlobalRows =
-          Opts.Domain ? Opts.Domain->GlobalRows : Config.NodeRows;
-      const int GlobalCols =
-          Opts.Domain ? Opts.Domain->GlobalCols : Config.NodeCols;
       for (const TiledStep &Step : Steps) {
         const std::vector<timetile::OwnerRegion> Regions =
             timetile::ownerRegions(SubRows, SubCols, Step.POut,
                                    Spec.BoundaryDim1, Spec.BoundaryDim2,
-                                   GlobalRow, GlobalRows, GlobalCol,
-                                   GlobalCols);
+                                   /*GlobalRow=*/0, Config.NodeRows,
+                                   /*GlobalCol=*/0, Config.NodeCols);
         for (size_t I = 0; I != Regions.size(); ++I)
           if (!Regions[I].ZeroMasked)
             Analytic += Step.Regions[I].Ops;

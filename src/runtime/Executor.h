@@ -27,8 +27,6 @@
 #include "core/Compiler.h"
 #include "runtime/Backend.h"
 #include "runtime/DistributedArray.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
 #include "runtime/StripMiner.h"
 #include "runtime/TimeTile.h"
 #include <map>
@@ -70,13 +68,6 @@ public:
     /// never changes results or simulated timing — nodes are
     /// independent after the halo exchange.
     int ThreadCount = 0;
-    /// When set, this executor runs one shard's block of a larger node
-    /// grid: the machine config describes the local block, and halo
-    /// traffic crossing the block's edges moves through Transport (the
-    /// transport-abstracted §5.1 protocol in runtime/HaloExchange.h).
-    /// Null runs the whole grid in-process, exactly as before.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
   };
 
   explicit Executor(const MachineConfig &Config) : Config(Config) {}
@@ -100,8 +91,8 @@ public:
   }
 
   /// run() after name resolution: the execution body over arguments a
-  /// caller already resolved (the cm2 backend's runResolved, the shard
-  /// workers). run() is resolve + runResolved.
+  /// caller already resolved (the cm2 backend's runResolved). run() is
+  /// resolve + runResolved.
   Expected<TimingReport> runResolved(const CompiledStencil &Compiled,
                                      const ResolvedStencilArguments &Resolved,
                                      const RunOptions &RO) const;

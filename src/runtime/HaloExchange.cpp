@@ -160,7 +160,7 @@ Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
   // Step 3: exchange edge rows with the North and South neighbors. The
   // shipped rows include the side pads received in step 2, so corner
   // data arrives from the diagonal neighbor in two hops — including
-  // across shard boundaries, where the side pads a block edge ships may
+  // across block boundaries, where the side pads a block edge ships may
   // themselves have just crossed the transport. For cornerless stencils
   // only the core columns move and the corner pads stay poisoned
   // (§5.1's skipped third step) — on a split axis those columns never
@@ -233,30 +233,22 @@ Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
 Expected<RunHalos>
 RunHalos::exchange(const StencilSpec &Spec,
                    const ResolvedStencilArguments &Resolved, int TimeTile,
-                   bool AllowCornerSkip, const PartitionDomain *Domain,
-                   HaloTransport *Transport) {
+                   bool AllowCornerSkip) {
   const bool FetchCorners =
       TimeTile > 1 || Spec.needsCornerData() || !AllowCornerSkip;
   const int Radius = Spec.borderWidths().maximum();
   const int Border = TimeTile * Radius;
   const int CoeffBorder = (TimeTile - 1) * Radius;
 
-  // (array, border, transport source index) in exchange order.
-  struct Planned {
-    const DistributedArray *A;
-    int Border;
-    int SourceIndex;
-  };
-  std::vector<Planned> Plan;
-  for (int S = 0; S != Spec.sourceCount(); ++S)
-    Plan.push_back({Resolved.Sources[S], Border, S});
+  // (array, border) in exchange order.
+  std::vector<std::pair<const DistributedArray *, int>> Plan;
+  for (const DistributedArray *S : Resolved.Sources)
+    Plan.push_back({S, Border});
   if (TimeTile > 1) {
-    const std::vector<std::string> Names = Spec.coefficientArrayNames();
-    for (size_t N = 0; N != Names.size(); ++N) {
+    for (const std::string &Name : Spec.coefficientArrayNames()) {
       const DistributedArray *C = nullptr;
       for (size_t I = 0; I != Spec.Taps.size() && !C; ++I)
-        if (Spec.Taps[I].Coeff.isArray() &&
-            Spec.Taps[I].Coeff.Name == Names[N])
+        if (Spec.Taps[I].Coeff.isArray() && Spec.Taps[I].Coeff.Name == Name)
           C = Resolved.TapCoefficients[I];
       assert(C && "coefficient name resolved to no array");
       // Re-exchanging a source at the narrower coefficient border would
@@ -264,8 +256,7 @@ RunHalos::exchange(const StencilSpec &Spec,
       const bool IsSource =
           std::find(Resolved.Sources.begin(), Resolved.Sources.end(), C) !=
           Resolved.Sources.end();
-      Plan.push_back({C, IsSource ? Border : CoeffBorder,
-                      Spec.sourceCount() + static_cast<int>(N)});
+      Plan.push_back({C, IsSource ? Border : CoeffBorder});
     }
   }
 
@@ -282,17 +273,13 @@ RunHalos::exchange(const StencilSpec &Spec,
   for (const DistributedArray *A : Arrays)
     Halos.Locks.push_back(A->lockHalo());
 
-  const PartitionDomain Whole = PartitionDomain::whole(
-      Resolved.Result->grid().rows(), Resolved.Result->grid().cols());
-  for (const Planned &P : Plan) {
+  for (const auto &[A, B] : Plan) {
     // Probed per exchange step, not per run: any one of a run's
     // exchanges can be lost.
     if (fault::probe("halo.exchange"))
       return fault::injectedFault("halo.exchange");
-    if (Error E = exchangeHalosPartitioned(
-            *P.A, Domain ? *Domain : Whole, Transport, P.SourceIndex,
-            P.Border, Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
-      return E;
+    exchangeHalosInPlace(*A, B, Spec.BoundaryDim1, Spec.BoundaryDim2,
+                         FetchCorners);
   }
   return Halos;
 }

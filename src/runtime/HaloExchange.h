@@ -31,13 +31,13 @@
 /// construction in buildPaddedSubgrid — a property the tests enforce —
 /// but the data really moves neighbor to neighbor here.
 ///
-/// The protocol also runs *partitioned*: a shard owning only a block of
-/// the node grid (runtime/Partition.h) performs the same steps over its
-/// local nodes and moves the block-edge traffic through a HaloTransport
-/// instead of reading neighbor subgrids directly. The whole-grid domain
-/// with no transport is exactly the in-process path —
-/// exchangeHalosInPlace below delegates to it — so the sharded and
-/// unsharded exchanges are one implementation, not two that can drift.
+/// The protocol is written once, over a block of the node grid
+/// (runtime/Partition.h): exchangeHalosPartitioned performs the steps
+/// over the block's nodes and hands traffic crossing a split block edge
+/// to a HaloTransport. exchangeHalosInPlace is that function over the
+/// whole grid with no transport, the path every backend runs; the
+/// partitioned form keeps the decomposition seam, and its LocalTransport
+/// tests prove a split grid bitwise-equal to the whole one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,15 +64,15 @@ void exchangeHalosInPlace(const DistributedArray &A, int Border,
                           BoundaryKind BoundaryDim1,
                           BoundaryKind BoundaryDim2, bool FetchCorners);
 
-/// The same protocol over one shard's node block. \p A holds only the
-/// local block (its grid shape must equal the domain's local shape);
-/// axes the domain spans entirely wrap locally exactly as the
-/// unsharded exchange does, split axes pack their block edges and
+/// The same protocol over one block of the node grid. \p A holds only
+/// the local block (its grid shape must equal the domain's local
+/// shape); axes the domain spans entirely wrap locally exactly as the
+/// whole-grid exchange does, split axes pack their block edges and
 /// exchange them through \p Transport (one WestEast call, then — when
 /// the border is nonzero — one NorthSouth call, per source). \p
 /// SourceIndex tags the transport calls so a multi-source job's
-/// exchanges stay matched across shards. Fails only on transport
-/// failures (lost worker, injected fault); those are transient.
+/// exchanges stay matched across blocks. Fails only when the transport
+/// fails.
 Error exchangeHalosPartitioned(const DistributedArray &A,
                                const PartitionDomain &Domain,
                                HaloTransport *Transport, int SourceIndex,
@@ -91,25 +91,23 @@ std::vector<Array2D> exchangeHalos(const DistributedArray &A, int Border,
                                    ThreadPool *Pool = nullptr);
 
 /// The halo exchanges of one run, in place, in the order every backend
-/// and shard worker makes them: each source at TimeTile x radius, then,
-/// for tiled runs, each distinct coefficient array by name in
-/// first-appearance tap order at (TimeTile - 1) x radius (intermediate
-/// pad cells multiply by the *owner's* coefficients), transport source
-/// indices following the sources'. A coefficient array that is also a
+/// makes them: each source at TimeTile x radius, then, for tiled runs,
+/// each distinct coefficient array by name in first-appearance tap
+/// order at (TimeTile - 1) x radius (intermediate pad cells multiply by
+/// the *owner's* coefficients). A coefficient array that is also a
 /// source keeps the source's wider border. Corners are fetched when the
 /// stencil reads diagonal data, when \p AllowCornerSkip is off, and
 /// always for tiled runs (intermediate side-pad values feed
-/// corner-adjacent cells of later steps). A null \p Domain is the whole
-/// grid. Each exchange probes the "halo.exchange" fault site first, so
-/// a failed run fails before its compute writes anything. Holds the
-/// halo lock of every source and coefficient array while alive: keep it
-/// until the compute that reads them ends.
+/// corner-adjacent cells of later steps). Each exchange probes the
+/// "halo.exchange" fault site first, so a failed run fails before its
+/// compute writes anything. Holds the halo lock of every source and
+/// coefficient array while alive: keep it until the compute that reads
+/// them ends.
 class RunHalos {
 public:
   static Expected<RunHalos>
   exchange(const StencilSpec &Spec, const ResolvedStencilArguments &Resolved,
-           int TimeTile, bool AllowCornerSkip, const PartitionDomain *Domain,
-           HaloTransport *Transport);
+           int TimeTile, bool AllowCornerSkip);
 
 private:
   std::vector<std::unique_lock<std::mutex>> Locks;

@@ -66,8 +66,7 @@ struct HaloBlocks {
 /// Moves block-edge halo data between shards. Calls are blocking
 /// collectives: every shard calls with the same (SourceIndex, Step)
 /// sequence, and each call completes only when the neighbors' blocks
-/// are in hand. Failures are transient (a lost worker, an injected
-/// fault) — the serving layer's retry ladder re-runs the whole job.
+/// are in hand. A failed call fails the exchange it belongs to.
 class HaloTransport {
 public:
   virtual ~HaloTransport();

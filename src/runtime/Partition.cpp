@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Partition.h"
+#include <cassert>
 #include <string>
 
 using namespace cmcc;
@@ -36,31 +37,6 @@ Expected<ShardGrid> cmcc::makeShardGrid(int NodeRows, int NodeCols,
   return ShardGrid{ShardRows, ShardCols};
 }
 
-Expected<ShardGrid> cmcc::chooseShardGrid(int NodeRows, int NodeCols,
-                                          int Shards) {
-  if (!isPowerOfTwo(Shards))
-    return makeError("shard count " + std::to_string(Shards) +
-                     " must be a power of two");
-  int SR = 1, SC = 1;
-  for (int Remaining = Shards; Remaining > 1; Remaining /= 2) {
-    const bool CanR = SR * 2 <= NodeRows;
-    const bool CanC = SC * 2 <= NodeCols;
-    if (!CanR && !CanC)
-      return makeError(std::to_string(Shards) + " shards exceed the " +
-                       std::to_string(NodeRows) + "x" +
-                       std::to_string(NodeCols) +
-                       " node grid (at most one node per shard)");
-    // Split whichever axis currently has the larger per-shard extent,
-    // keeping the blocks near-square (less block perimeter = less halo
-    // traffic per shard).
-    if (CanR && (!CanC || NodeRows / SR >= NodeCols / SC))
-      SR *= 2;
-    else
-      SC *= 2;
-  }
-  return makeShardGrid(NodeRows, NodeCols, SR, SC);
-}
-
 PartitionDomain cmcc::shardDomain(const ShardGrid &SG, int Shard, int NodeRows,
                                   int NodeCols) {
   assert(Shard >= 0 && Shard < SG.count() && "shard id out of range");
@@ -74,12 +50,4 @@ PartitionDomain cmcc::shardDomain(const ShardGrid &SG, int Shard, int NodeRows,
   D.GlobalRows = NodeRows;
   D.GlobalCols = NodeCols;
   return D;
-}
-
-MachineConfig cmcc::shardMachineConfig(const MachineConfig &Global,
-                                       const PartitionDomain &Domain) {
-  MachineConfig Local = Global;
-  Local.NodeRows = Domain.LocalRows;
-  Local.NodeCols = Domain.LocalCols;
-  return Local;
 }

@@ -6,30 +6,30 @@
 ///
 /// \file
 /// The partition seam: which rectangular block of the machine's node
-/// grid one executor instance owns. The paper's runtime decomposes a
-/// grid over nodes inside one synchronous machine; scaling the same
-/// decomposition across OS processes means every executor runs the
-/// §5.1 protocol over its *local* node block and hands the block-edge
-/// traffic to a HaloTransport instead of reading a neighbor's memory.
+/// grid one exchange covers. The paper's runtime decomposes a grid over
+/// nodes inside one synchronous machine; the same decomposition split
+/// into blocks runs the §5.1 protocol over each block's local nodes and
+/// hands the block-edge traffic to a HaloTransport instead of reading a
+/// neighbor's memory (runtime/HaloTransport.h). Every backend runs the
+/// whole grid in one process; the split form is kept as the seam a
+/// distributed executor would plug into, and its tests prove it
+/// bitwise-equal to the whole-grid exchange.
 ///
 /// A PartitionDomain describes the block: its offset and shape in node
-/// coordinates plus the global grid shape. The whole-grid domain (the
-/// unsharded case every existing caller uses) degenerates exactly to
-/// the original in-process exchange — local torus wraparound *is* the
-/// global torus when the block spans the axis — which is what keeps
-/// the refactor bitwise-invisible to the determinism suites.
+/// coordinates plus the global grid shape. The whole-grid domain
+/// degenerates exactly to the in-process exchange — local torus
+/// wraparound *is* the global torus when the block spans the axis.
 ///
-/// A ShardGrid is the factorization of the node grid into such blocks,
-/// one per worker. Both dimensions must be powers of two dividing the
-/// node-grid dimensions (node grids are hypercube sub-dimensions, so
-/// the per-shard quotients stay powers of two).
+/// A ShardGrid is the factorization of the node grid into such blocks.
+/// Both dimensions must be powers of two dividing the node-grid
+/// dimensions (node grids are hypercube sub-dimensions, so the per-block
+/// quotients stay powers of two).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMCC_RUNTIME_PARTITION_H
 #define CMCC_RUNTIME_PARTITION_H
 
-#include "cm2/MachineConfig.h"
 #include "support/Error.h"
 
 namespace cmcc {
@@ -106,21 +106,9 @@ struct ShardGrid {
 Expected<ShardGrid> makeShardGrid(int NodeRows, int NodeCols, int ShardRows,
                                   int ShardCols);
 
-/// Chooses a near-square decomposition into \p Shards blocks (a power
-/// of two), splitting the longer node-grid axis first.
-Expected<ShardGrid> chooseShardGrid(int NodeRows, int NodeCols, int Shards);
-
 /// The node block shard \p Shard owns under \p SG.
 PartitionDomain shardDomain(const ShardGrid &SG, int Shard, int NodeRows,
                             int NodeCols);
-
-/// The machine one shard's executor runs: the global config with the
-/// node grid narrowed to the shard's block. Every timing constant is
-/// copied verbatim — a worker's per-node cycle accounting must be
-/// bit-identical to the unsharded machine's (synchronous SIMD: one
-/// node's cycles are the machine's).
-MachineConfig shardMachineConfig(const MachineConfig &Global,
-                                 const PartitionDomain &Domain);
 
 } // namespace cmcc
 

@@ -16,17 +16,6 @@ using namespace cmcc;
 
 namespace {
 
-/// Sum of the phase histograms a run's host time lands in. The cm2
-/// path records executor.run_host_us; the wall-clock backends record
-/// backend.<name>.run_host_us around it — summing all three makes the
-/// delta backend-agnostic.
-double runHostUsTotal() {
-  obs::Registry &R = obs::Registry::process();
-  return R.histogram("executor.run_host_us").sum() +
-         R.histogram("backend.native.run_host_us").sum() +
-         R.histogram("backend.njit.run_host_us").sum();
-}
-
 DiskStore::Options storeOptions(const std::string &Dir) {
   return {.Dir = Dir, .Ext = "tune", .Format = "cmcc-tune v2"};
 }
@@ -134,25 +123,18 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
   for (int K : Depths) {
     RunOptions RO;
     RO.TimeTile = K;
-    const double HistBefore = WallClock ? runHostUsTotal() : 0.0;
     Expected<TimingReport> Report =
         Backend.timeOnly(Plan, SubRows, SubCols, RO);
     if (!Report)
       continue; // An undeployable depth scores itself out.
     // Per-timestep cost: depth k's run covers k chained steps, so the
     // fair comparison divides by k. Wall-clock backends are scored by
-    // the obs phase-histogram delta their run recorded (falling back
-    // to the report when the run was too fast to register); cm2 by
-    // the simulated machine time.
-    double Us;
-    if (WallClock) {
-      Us = runHostUsTotal() - HistBefore;
-      if (Us <= 0.0)
-        Us = Report->HostSecondsPerIteration * 1e6;
-    } else {
-      Us = Report->secondsPerIteration() * 1e6;
-    }
-    Us /= K;
+    // the seconds their own run measured (never a process-wide
+    // histogram, which other threads' runs also feed); cm2 by the
+    // simulated machine time.
+    const double Us = (WallClock ? Report->HostSecondsPerIteration
+                                 : Report->secondsPerIteration()) *
+                      1e6 / K;
     if (Best.ScoreUs < 0.0 || Us < Best.ScoreUs) {
       Best.TimeTile = K;
       Best.ScoreUs = Us;
@@ -173,14 +155,11 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
       NativeBackend Probe(Config, NO);
       RunOptions RO;
       RO.TimeTile = Best.TimeTile;
-      const double HistBefore = runHostUsTotal();
       Expected<TimingReport> Report =
           Probe.timeOnly(Plan, SubRows, SubCols, RO);
       if (!Report)
         continue;
-      double Us = runHostUsTotal() - HistBefore;
-      if (Us <= 0.0)
-        Us = Report->HostSecondsPerIteration * 1e6;
+      const double Us = Report->HostSecondsPerIteration * 1e6;
       if (BestRowsUs < 0.0 || Us < BestRowsUs) {
         BestRowsUs = Us;
         Best.RowsPerTile = Rows;

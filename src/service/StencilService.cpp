@@ -12,11 +12,11 @@
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
 #include "sexpr/DefStencil.h"
-#include "shard/ShardedBackend.h"
 #include "runtime/TimeTile.h"
 #include "stencil/Recognizer.h"
 #include "support/Assert.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -39,30 +39,11 @@ std::string memoKey(StencilService::SourceKind Kind,
   return std::to_string(static_cast<int>(Kind)) + "\n" + Source;
 }
 
-/// The engine jobs run on: the named in-process backend, or — in
-/// sharded mode — a multi-process coordinator running that backend
-/// over worker blocks (same plans, same fingerprints, bitwise-equal
-/// results; see DESIGN.md §5j).
-std::unique_ptr<const ExecutionBackend>
-makeServiceEngine(const MachineConfig &Config,
-                  const StencilService::Options &Opts) {
-  if (Opts.sharded()) {
-    shard::ShardedBackend::Options SO;
-    SO.Shards = Opts.Shards;
-    SO.ShardRows = Opts.ShardRows;
-    SO.ShardCols = Opts.ShardCols;
-    SO.InnerBackend = Opts.Backend;
-    SO.ExecOpts = Opts.Exec;
-    return std::make_unique<shard::ShardedBackend>(Config, std::move(SO));
-  }
-  return createBackend(Opts.Backend, Config, Opts.Exec);
-}
-
 } // namespace
 
 StencilService::StencilService(const MachineConfig &Config, Options Opts)
     : Config(Config), Opts(Opts), Compiler(Config),
-      Engine(makeServiceEngine(Config, Opts)),
+      Engine(createBackend(Opts.Backend, Config, Opts.Exec)),
       Cache(Config, Opts.Cache),
       Tuner(std::make_unique<Autotuner>(
           Config,
@@ -225,9 +206,9 @@ std::string StencilService::timelineJson(JobId Id) const {
                 T->Id, T->Tenant, jobStatusName(T->Status));
   Out += Buf;
   Out += "\"trace_id\": \"";
-  Out += T->TraceId ? obs::formatTraceId(T->TraceId) : "";
+  Out += T->TraceId ? fingerprintHex(T->TraceId) : "";
   Out += "\", \"fingerprint\": \"";
-  Out += obs::formatTraceId(T->Fingerprint);
+  Out += fingerprintHex(T->Fingerprint);
   Out += "\", \"events\": [";
   const uint64_t Epoch = T->Events.empty() ? 0 : T->Events.front().Ns;
   bool First = true;
@@ -911,11 +892,8 @@ void StencilService::execute(Job &J, const CompiledStencil &Plan) {
     }
 
     // Retries exhausted. Degrade gracefully — once — to the in-process
-    // cm2 reference backend, with a fresh retry budget there. Sharded
-    // cm2 still falls back: losing the worker fleet must not lose the
-    // job, and the unsharded reference computes the identical result.
-    if (!J.Result.FellBack && Opts.FallbackToCm2 &&
-        (Opts.Backend != "cm2" || Opts.sharded())) {
+    // cm2 reference backend, with a fresh retry budget there.
+    if (!J.Result.FellBack && Opts.FallbackToCm2 && Opts.Backend != "cm2") {
       J.Result.FellBack = true;
       Fallbacks.add(1);
       note(J, JobEvent::Fallback);

@@ -243,22 +243,6 @@ public:
     /// serve several backends without aliasing; "cm2" keeps every
     /// pre-seam fingerprint valid.
     std::string Backend = "cm2";
-    /// Worker processes per job (DESIGN.md §5j). 1 runs Backend
-    /// in-process (the pre-sharding behavior); >1 runs every job on a
-    /// ShardedBackend that partitions the node grid over that many
-    /// worker processes, each executing Backend over its block. The
-    /// results are bitwise identical either way, and a worker death
-    /// surfaces as a transient failure the retry ladder re-runs (the
-    /// coordinator respawns the fleet member on the retry).
-    int Shards = 1;
-    /// Explicit shard decomposition; both nonzero to take effect
-    /// (otherwise a near-square grid for Shards is chosen).
-    int ShardRows = 0;
-    int ShardCols = 0;
-    /// True when jobs run on the multi-process sharded backend.
-    bool sharded() const {
-      return Shards > 1 || (ShardRows > 0 && ShardCols > 0);
-    }
     /// Queued-job bound for admission control; 0 = unbounded (every
     /// submit is admitted, the pre-hardening behavior).
     int QueueCap = 0;
@@ -279,9 +263,7 @@ public:
     long RetryBackoffMs = 1;
     /// After the primary backend exhausts its retries transiently, run
     /// the job once on the cm2 reference backend (no-op when Backend is
-    /// already "cm2" *and* execution is unsharded — a sharded cm2 run
-    /// can still fail transiently on a lost worker, so sharded services
-    /// fall back to in-process cm2). Plans are backend-portable by
+    /// already "cm2"). Plans are backend-portable by
     /// construction — fingerprints are backend-scoped for cache
     /// identity, not ABI — so the fallback replays the identical
     /// CompiledStencil.

@@ -30,11 +30,6 @@
 ///   net.accept             an accepted connection is dropped immediately
 ///   net.read               a socket read fails; the connection drops
 ///   net.write              a socket write fails; the connection drops
-///   shard.spawn            spawning a shard worker fails (transient)
-///   shard.exchange         a halo relay round aborts; workers survive
-///   shard.worker_death     a live shard worker is SIGKILLed mid-relay;
-///                          the run fails transiently and the fleet
-///                          respawns the slot on retry
 ///
 /// Rules are armed programmatically (arm()) or from the environment:
 ///

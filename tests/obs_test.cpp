@@ -17,6 +17,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 #include <atomic>
 #include <chrono>
@@ -424,7 +425,7 @@ TEST(ObsTraceContextTest, MintedIdsAreNonZeroAndDistinct) {
 
 TEST(ObsTraceContextTest, FormatParseRoundTrip) {
   uint64_t Id = 0x0123456789abcdefULL;
-  EXPECT_EQ(obs::formatTraceId(Id), "0123456789abcdef");
+  EXPECT_EQ(fingerprintHex(Id), "0123456789abcdef");
   EXPECT_EQ(obs::parseTraceId("0123456789abcdef"), Id);
   EXPECT_EQ(obs::parseTraceId("0x0123456789abcdef"), Id);
   EXPECT_EQ(obs::parseTraceId("not-hex"), 0u);
@@ -471,7 +472,7 @@ TEST(ObsTraceContextTest, SpansRecordTheAmbientContextIds) {
   EXPECT_TRUE(JsonValidator(Json).valid()) << Json;
 
   // Both traced spans carry the trace id; the untraced span has no args.
-  const std::string Hex = obs::formatTraceId(TraceId);
+  const std::string Hex = fingerprintHex(TraceId);
   size_t Count = 0;
   for (size_t P = Json.find(Hex); P != std::string::npos;
        P = Json.find(Hex, P + 1))
@@ -520,7 +521,7 @@ TEST(ObsTraceContextTest, ThreadPoolWorkersInheritTheSubmitterContext) {
   EXPECT_TRUE(JsonValidator(Json).valid());
   // Worker-side spans (threadpool.worker_run runs on pool threads)
   // carry the submitting thread's trace id.
-  const std::string Hex = obs::formatTraceId(TraceId);
+  const std::string Hex = fingerprintHex(TraceId);
   std::istringstream In(Json);
   std::string Line;
   int WorkerTraced = 0;

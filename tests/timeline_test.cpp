@@ -26,6 +26,7 @@
 #include "obs/TraceContext.h"
 #include "service/StencilService.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -311,7 +312,7 @@ TEST_F(TimelineTest, InProcessJobCarriesTheSubmitterTraceId) {
   ASSERT_TRUE(T.has_value());
   EXPECT_EQ(T->TraceId, Req.TraceId);
   std::string Json = service.timelineJson(Id);
-  EXPECT_NE(Json.find(obs::formatTraceId(Req.TraceId)), std::string::npos)
+  EXPECT_NE(Json.find(fingerprintHex(Req.TraceId)), std::string::npos)
       << Json;
 }
 
@@ -393,7 +394,7 @@ TEST_F(TimelineTest, ClientMintedTraceIdCrossesTheWire) {
   // The result is delivered from *inside* the worker's service.job
   // span, so that span closes a beat after wait() returns — poll the
   // incrementally flushed file until both sides' spans are on disk.
-  const std::string Hex = obs::formatTraceId(TraceId);
+  const std::string Hex = fingerprintHex(TraceId);
   bool ServerTagged = false, ServiceTagged = false;
   std::string TraceJson;
   for (int Try = 0; Try != 200 && !(ServerTagged && ServiceTagged); ++Try) {
@@ -419,7 +420,7 @@ TEST_F(TimelineTest, ClientMintedTraceIdCrossesTheWire) {
   ASSERT_TRUE(T) << T.error().message();
   ASSERT_TRUE(T->Found);
   EXPECT_TRUE(JsonValidator(T->Json).valid()) << T->Json;
-  EXPECT_NE(T->Json.find(obs::formatTraceId(TraceId)), std::string::npos)
+  EXPECT_NE(T->Json.find(fingerprintHex(TraceId)), std::string::npos)
       << T->Json;
   EXPECT_NE(T->Json.find("\"retry\""), std::string::npos) << T->Json;
   EXPECT_NE(T->Json.find("\"transient_failure\""), std::string::npos);
@@ -488,7 +489,7 @@ TEST_F(TimelineTest, ServedJobSplitsDecodeScatterAndDeliver) {
   ASSERT_TRUE(W->Ok) << W->Message;
   EXPECT_TRUE(W->HasResult);
 
-  const std::string Hex = obs::formatTraceId(TraceId);
+  const std::string Hex = fingerprintHex(TraceId);
   const char *Names[] = {"\"server.decode\"", "\"server.scatter\"",
                          "\"server.deliver\""};
   bool Seen[3] = {false, false, false};

@@ -20,10 +20,9 @@
 ///     float sequence.
 ///
 /// The differential harness sweeps depth k in {1, 2, 3, 8}, all
-/// backends, shard grids 1x1 / 1x2 / 2x2, Circular and Zero boundaries,
-/// and armed halo.exchange / shard.* faults (a failed tiled run must be
-/// transient and leave the inputs untouched, so the retry reproduces
-/// the baseline bitwise).
+/// backends, Circular and Zero boundaries, and an armed halo.exchange
+/// fault (a failed tiled run must be transient and leave the inputs
+/// untouched, so the retry reproduces the baseline bitwise).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +34,6 @@
 #include "runtime/TimeTile.h"
 #include "service/Autotuner.h"
 #include "service/StencilService.h"
-#include "shard/ShardedBackend.h"
 #include "stencil/PatternLibrary.h"
 #include "support/FaultInjection.h"
 #include <cmath>
@@ -380,50 +378,6 @@ TEST_F(TimeTileTest, TiledRunDoesOneExchangePerArray) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shard grids: tiled sharded == stepwise unsharded, bitwise
-//===----------------------------------------------------------------------===//
-
-void sweepSharded(const char *Inner) {
-  MachineConfig Config = MachineConfig::withNodeGrid(4, 4);
-  StencilSpec Specs[] = {makePattern(PatternId::Cross5), corneredSpec()};
-  Specs[0].BoundaryDim1 = BoundaryKind::Zero;
-  uint64_t Seed = 0x5a1d;
-  for (const StencilSpec &Spec : Specs) {
-    CompiledStencil Compiled = compileSpec(Config, Spec);
-    const int Radius = Spec.borderWidths().maximum();
-    const int Sub = Radius > 1 ? 13 : 9;
-    for (int K : {2, 3}) {
-      // Unsharded stepwise ground truth on the inner backend.
-      std::unique_ptr<ExecutionBackend> Plain = createBackend(Inner, Config);
-      ASSERT_NE(Plain, nullptr);
-      Array2D Want =
-          stepwiseBaseline(*Plain, Compiled, Config, Sub, Sub, K, Seed);
-      for (auto [SR, SC] :
-           std::vector<std::pair<int, int>>{{1, 1}, {1, 2}, {2, 2}}) {
-        SCOPED_TRACE(std::string(Inner) + " shards " + std::to_string(SR) +
-                     "x" + std::to_string(SC) + " k=" + std::to_string(K) +
-                     " radius " + std::to_string(Radius));
-        shard::ShardedBackend::Options O;
-        O.ShardRows = SR;
-        O.ShardCols = SC;
-        O.Shards = SR * SC;
-        O.InnerBackend = Inner;
-        shard::ShardedBackend B(Config, std::move(O));
-        ASSERT_TRUE(B.valid());
-        Array2D Got = tiledRun(B, Compiled, Config, Sub, Sub, K, Seed);
-        expectBitwise(Want, Got, "sharded tile");
-      }
-      ++Seed;
-    }
-  }
-}
-
-TEST_F(TimeTileTest, ShardedCm2TiledBitwiseAcrossGrids) { sweepSharded("cm2"); }
-TEST_F(TimeTileTest, ShardedNativeTiledBitwiseAcrossGrids) {
-  sweepSharded("native");
-}
-
-//===----------------------------------------------------------------------===//
 // Faults: a lost exchange fails transiently; the retry is bitwise
 //===----------------------------------------------------------------------===//
 
@@ -457,45 +411,6 @@ TEST_F(TimeTileTest, ExchangeFaultRetryPreservesBitwiseEquality) {
   Expected<TimingReport> Retry = Cm2.run(Compiled, Side.Args, RO);
   ASSERT_TRUE(Retry) << Retry.error().message();
   expectBitwise(Want, Side.R.gather(), "post-fault retry");
-}
-
-TEST_F(TimeTileTest, ShardFaultRetryPreservesBitwiseEquality) {
-  MachineConfig Config = MachineConfig::withNodeGrid(4, 4);
-  StencilSpec Spec = makePattern(PatternId::Cross5);
-  CompiledStencil Compiled = compileSpec(Config, Spec);
-
-  const int K = 2;
-  Cm2Backend Plain(Config);
-  Array2D Want = stepwiseBaseline(Plain, Compiled, Config, 8, 8, K, 0x5afe);
-
-  shard::ShardedBackend::Options O;
-  O.ShardRows = 1;
-  O.ShardCols = 2;
-  O.InnerBackend = "cm2";
-  shard::ShardedBackend B(Config, std::move(O));
-  ASSERT_TRUE(B.valid());
-
-  // Prime the fleet so the armed fault hits the tiled relay itself.
-  BoundArrays Prime(Config, Spec, 8, 8, 0x5afe);
-  RunOptions RO;
-  RO.TimeTile = K;
-  ASSERT_TRUE(B.run(Compiled, Prime.Args, RO));
-  expectBitwise(Want, Prime.R.gather(), "primed sharded tile");
-
-  fault::Rule Abort;
-  Abort.Site = "shard.exchange";
-  Abort.MaxFires = 1;
-  fault::Registry::process().arm(Abort);
-  BoundArrays Side(Config, Spec, 8, 8, 0x5afe);
-  Expected<TimingReport> Failed = B.run(Compiled, Side.Args, RO);
-  ASSERT_FALSE(Failed);
-  EXPECT_TRUE(Failed.error().isTransient()) << Failed.error().message();
-
-  fault::Registry::process().reset();
-  BoundArrays Retry(Config, Spec, 8, 8, 0x5afe);
-  Expected<TimingReport> Again = B.run(Compiled, Retry.Args, RO);
-  ASSERT_TRUE(Again) << Again.error().message();
-  expectBitwise(Want, Retry.R.gather(), "post-fault sharded retry");
 }
 
 //===----------------------------------------------------------------------===//
@@ -588,6 +503,53 @@ TEST_F(TimeTileTest, AutotunerSweepsOnceThenServesWarm) {
   EXPECT_EQ(FC.Hits, 1);
   EXPECT_EQ(FC.Sweeps, 0);
   EXPECT_EQ(FC.DiskRejects, 0);
+}
+
+/// A wall-clock backend with scripted timings: depth 1 measures 10 us
+/// per fused unit, deeper tiles 100 us. Its depth-1 run also lands an
+/// unrelated 1 s sample in backend.native.run_host_us, as a concurrent
+/// native run on another thread would.
+class ScriptedClockBackend : public ExecutionBackend {
+public:
+  explicit ScriptedClockBackend(const MachineConfig &Config)
+      : Config(Config) {}
+  const char *name() const override { return "scripted"; }
+  bool reportsWallClock() const override { return true; }
+  Expected<TimingReport> runResolved(const CompiledStencil &,
+                                     const ResolvedStencilArguments &,
+                                     const RunOptions &) const override {
+    return makeError("scripted backend only times");
+  }
+  Expected<TimingReport> timeOnly(const CompiledStencil &, int, int,
+                                  const RunOptions &RO) const override {
+    if (RO.TimeTile == 1)
+      obs::Registry::process()
+          .histogram("backend.native.run_host_us")
+          .observe(1e6);
+    TimingReport R;
+    R.Iterations = RO.Iterations;
+    R.HostSecondsPerIteration = RO.TimeTile == 1 ? 10e-6 : 100e-6;
+    return R;
+  }
+  const MachineConfig &machine() const override { return Config; }
+
+private:
+  MachineConfig Config;
+};
+
+TEST_F(TimeTileTest, AutotunerScoresEachCandidateFromItsOwnRun) {
+  MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
+  CompiledStencil Compiled =
+      compileSpec(Config, makePattern(PatternId::Cross5));
+  ScriptedClockBackend B(Config);
+  Autotuner::Options AO;
+  AO.Depths = {1, 2};
+  Autotuner Tuner(Config, AO);
+  // Depth 1 costs 10 us per step, depth 2 50 us: depth 1 wins, whatever
+  // else the process-wide histograms saw meanwhile.
+  Autotuner::TunedParams P = Tuner.resolve(0x5c0e, B, Compiled, 16, 16);
+  EXPECT_EQ(P.TimeTile, 1);
+  EXPECT_DOUBLE_EQ(P.ScoreUs, 10.0);
 }
 
 TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {

@@ -2,9 +2,10 @@
 # Builds the test suite with ThreadSanitizer and runs the tests that
 # exercise the multithreaded execution engine (thread pool, per-node
 # fan-out, pooled compute reading halo margins the exchange wrote in
-# place), the serving layer (sharded plan cache, job queue, compile
-# deduplication) and the on-disk record store (concurrent same-key
-# writers and readers), oversubscribed via
+# place, the partitioned exchange with one thread per node-grid block
+# meeting at a LocalTransport), the serving layer (lock-striped plan
+# cache, job queue, compile deduplication) and the on-disk record store
+# (concurrent same-key writers and readers), oversubscribed via
 # CMCC_THREADS so races have the best chance to appear. Run from
 # anywhere:
 #
@@ -22,13 +23,13 @@ cmake -B "$BUILD" -S "$ROOT" \
 cmake --build "$BUILD" -j --target parallel_executor_test executor_test \
   haloexchange_test service_test obs_test fault_injection_test \
   service_soak_test njit_test net_server_test net_soak_test \
-  flight_recorder_test timeline_test shard_test timetile_test \
+  flight_recorder_test timeline_test timetile_test \
   diskstore_test runtime_test
 
 for T in parallel_executor_test executor_test haloexchange_test \
          service_test obs_test fault_injection_test service_soak_test \
          njit_test net_server_test net_soak_test \
-         flight_recorder_test timeline_test shard_test timetile_test \
+         flight_recorder_test timeline_test timetile_test \
          diskstore_test runtime_test; do
   echo "== tsan: $T (CMCC_THREADS=8) =="
   CMCC_THREADS=8 "$BUILD/tests/$T"

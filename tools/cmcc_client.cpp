@@ -395,7 +395,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::printf("job %lld trace %s\n", static_cast<long long>(S->JobId),
-                obs::formatTraceId(TraceId).c_str());
+                fingerprintHex(TraceId).c_str());
     if (Opts.Command == "submit")
       return 0;
     auto DoWait = [&] {

@@ -43,16 +43,6 @@
 ///                          or the plan-specialized JIT — native and
 ///                          njit Mflops are real wall-clock
 ///   --list-backends        print backend names and exit
-///   --shards=N             run every job over N worker *processes*
-///                          (default 1 = in-process), each executing
-///                          the backend over its block of the node
-///                          grid; results are bitwise identical, and a
-///                          killed worker is respawned on the next run
-///                          (pair with --max-retries so the in-flight
-///                          job is re-run)
-///   --shard-grid=RxC       explicit shard decomposition (power-of-two
-///                          dims dividing the node grid); overrides the
-///                          near-square choice --shards makes
 ///   --machine=16|2048|RxC  node grid (default 16 = 4x4)
 ///   --subgrid=RxC          per-node subgrid for timing jobs (128x128)
 ///   --iterations=N         iterations per job (default 100)
@@ -106,7 +96,6 @@
 #include "backends/Registry.h"
 #include "core/PlanFingerprint.h"
 #include "net/Server.h"
-#include "shard/ShardedBackend.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -132,8 +121,6 @@ namespace {
 struct ServeOptions {
   std::string ManifestFile;
   std::string Backend = "cm2";
-  int Shards = 1;
-  int ShardRows = 0, ShardCols = 0;
   MachineConfig Machine = MachineConfig::testMachine16();
   int SubRows = 128, SubCols = 128;
   int Iterations = 100;
@@ -167,7 +154,6 @@ void printUsage() {
                "usage: cmcc_serve [options] <manifest.jobs>\n"
                "       cmcc_serve [options] --listen=unix:PATH|tcp:HOST:PORT\n"
                "options: --backend=cm2|native|njit --list-backends\n"
-               "         --shards=N --shard-grid=RxC\n"
                "         --listen=SPEC --max-connections=N\n"
                "         --tenant-quota=ID:INFLIGHT[:QUEUED] --version\n"
                "         --machine=16|2048|RxC --subgrid=RxC --iterations=N\n"
@@ -241,17 +227,6 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Opts) {
         return false;
       }
       Opts.Backend = V;
-    } else if (const char *V = Value("--shards=")) {
-      Opts.Shards = std::atoi(V);
-      if (Opts.Shards <= 0) {
-        std::fprintf(stderr, "cmcc_serve: bad --shards value '%s'\n", V);
-        return false;
-      }
-    } else if (const char *V = Value("--shard-grid=")) {
-      if (!parseShape(V, &Opts.ShardRows, &Opts.ShardCols)) {
-        std::fprintf(stderr, "cmcc_serve: bad --shard-grid value '%s'\n", V);
-        return false;
-      }
     } else if (const char *V = Value("--machine=")) {
       if (std::strcmp(V, "16") == 0) {
         Opts.Machine = MachineConfig::testMachine16();
@@ -589,9 +564,6 @@ int main(int Argc, char **Argv) {
   ServiceOpts.Cache.Capacity = Opts.CacheCapacity;
   ServiceOpts.Cache.DiskDir = Opts.CacheDir;
   ServiceOpts.Backend = Opts.Backend;
-  ServiceOpts.Shards = Opts.Shards;
-  ServiceOpts.ShardRows = Opts.ShardRows;
-  ServiceOpts.ShardCols = Opts.ShardCols;
   ServiceOpts.QueueCap = Opts.QueueCap;
   ServiceOpts.Admit = Opts.Admit;
   ServiceOpts.DeadlineMs = Opts.DeadlineMs;
@@ -602,16 +574,6 @@ int main(int Argc, char **Argv) {
   ServiceOpts.TenantQuotas = Opts.TenantQuotas;
   StencilService Service(Opts.Machine, ServiceOpts);
 
-  // A bad decomposition would fail every job identically; refuse it at
-  // startup with the explanation instead.
-  const auto *Sharded =
-      dynamic_cast<const shard::ShardedBackend *>(&Service.backend());
-  if (Sharded && !Sharded->valid()) {
-    std::fprintf(stderr, "cmcc_serve: %s\n",
-                 Sharded->gridErrorMessage().c_str());
-    return 2;
-  }
-
   if (!Opts.Quiet) {
     std::printf("machine: %s\nbackend: %s%s\nserving %s with %d workers\n",
                 Opts.Machine.summary().c_str(), Service.backend().name(),
@@ -620,10 +582,6 @@ int main(int Argc, char **Argv) {
                 Opts.ManifestFile.empty() ? "the network"
                                           : Opts.ManifestFile.c_str(),
                 Opts.Workers);
-    if (Sharded)
-      std::printf("sharding: %dx%d (%d worker processes)\n",
-                  Sharded->shardGrid().Rows, Sharded->shardGrid().Cols,
-                  Sharded->shardGrid().count());
     if (!Opts.Faults.empty())
       std::printf("faults armed: %s (seed %llu)\n", Opts.Faults.c_str(),
                   static_cast<unsigned long long>(Opts.FaultSeed));
